@@ -1,6 +1,10 @@
 """Ethereum-style account keys: secp256k1 recoverable ECDSA signatures
 and keccak-derived 20-byte addresses.
 
+secp256k1 is y^2 = x^3 + 7, an a = 0 curve: its points are added and
+multiplied by the group law in ``xchain.ec`` that BN254 G1 and G2 use
+too (Jacobian double-and-add, one inversion per scalar multiplication).
+
 The nonce k is derived deterministically by hashing (simulation grade,
 not RFC 6979 and not constant time). V is 27/28 and is never folded
 with a chain identifier; replay protection comes from the sidechain
@@ -8,9 +12,10 @@ identifiers carried in the transaction body instead.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Tuple
 
+from . import ec
 from .hashing import keccak256
 
 _P = 2**256 - 2**32 - 977
@@ -18,44 +23,17 @@ _N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 _GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 _G = (_GX, _GY)
+_CURVE = ec.prime_curve(_P, 7, _N)
 
 
 class SignatureError(ValueError):
     pass
 
 
-def _add(p1, p2):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % _P == 0:
-            return None
-        lam = 3 * x1 * x1 * pow(2 * y1, -1, _P) % _P
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, _P) % _P
-    x3 = (lam * lam - x1 - x2) % _P
-    return (x3, (lam * (x1 - x3) - y1) % _P)
-
-
-def _mul(point, k):
-    result = None
-    addend = point
-    while k:
-        if k & 1:
-            result = _add(result, addend)
-        addend = _add(addend, addend)
-        k >>= 1
-    return result
-
-
 def public_key(private_key: int) -> Tuple[int, int]:
     if not 1 <= private_key < _N:
         raise SignatureError("private key out of range")
-    return _mul(_G, private_key)
+    return ec.mul(_CURVE, _G, private_key)
 
 
 def address_of(private_key: int) -> bytes:
@@ -77,7 +55,7 @@ def sign_digest(digest: bytes, private_key: int) -> Tuple[int, int, int]:
         counter += 1
         if k == 0:
             continue
-        rx, ry = _mul(_G, k)
+        rx, ry = ec.mul(_CURVE, _G, k)
         r = rx % _N
         if r == 0 or rx >= _N:  # rx >= _N would need recovery id 2/3; retry
             continue
@@ -110,8 +88,8 @@ def recover_digest(digest: bytes, v: int, r: int, s: int) -> bytes:
     if y & 1 != v - 27:
         y = _P - y
     r_inv = pow(r, -1, _N)
-    point = _add(_mul((r, y), s * r_inv % _N),
-                 _mul(_G, (-z * r_inv) % _N))
+    point = ec.add(_CURVE, ec.mul(_CURVE, (r, y), s * r_inv),
+                   ec.mul(_CURVE, _G, -z * r_inv))
     if point is None:
         raise SignatureError("signature recovers to the point at infinity")
     x, py = point
@@ -124,8 +102,9 @@ class AccountKey:
 
     private_key: int
 
-    @property
+    @cached_property
     def address(self) -> bytes:
+        """Derived once per key: it costs a scalar multiplication."""
         return address_of(self.private_key)
 
     @classmethod

@@ -66,15 +66,10 @@ def run(scenario_path, seed, trace_out, max_ticks, locked_view_policy, verbose):
 @click.option("--fault-kind", "fault_kinds", multiple=True,
               type=click.Choice(["crash_node", "drop_message", "remove_validator"]),
               help="Fault kinds to sweep (default: all three).")
-@click.option("--steps", default="all",
-              help="Step selection; only 'all' is supported.")
 @click.option("--seed", type=int, default=None)
-def sweep(scenario_path, fault_kinds, steps, seed):
+def sweep(scenario_path, fault_kinds, seed):
     """Run the scenario once per (protocol step, fault) cell and check
     each cell's terminal outcome and atomicity."""
-    if steps != "all":
-        click.echo("only --steps all is supported", err=True)
-        sys.exit(EXIT_PARSE)
     try:
         scenario = Scenario.load(scenario_path)
         report = run_sweep(scenario, list(fault_kinds) or None,

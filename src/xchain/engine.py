@@ -953,7 +953,19 @@ class ValidatorNode:
             self.step("orig:commit_signed")
             result = yield from self._submit(tx, "commit", commit_msg, commit_sig)
             if not result.get("ok"):
-                raise _Failed(COMMIT_REJECTED, result.get("error", ""))
+                # The commit decision is the record on the coordination
+                # contract, not its acknowledgement. While the record
+                # says started the commit may still be in flight: an
+                # ignore races it (this flow's only ignore), and past the
+                # global timeout the record can no longer change.
+                started = False
+                key = (tx.crosschain_tx_id, tx.originating_sidechain_id)
+                if chain.status_of(*key) is EffectiveStatus.STARTED:
+                    yield from self._ignore_flow(mn, tx)
+                while chain.status_of(*key) is EffectiveStatus.STARTED:
+                    yield Sleep(max(deadline - self.net.tick, 1))
+                if chain.status_of(*key) is not EffectiveStatus.COMMITTED:
+                    raise _Failed(COMMIT_REJECTED, result.get("error", ""))
             self.step("orig:commit_submitted")
 
             self._broadcast_check(mn, tx)

@@ -10,10 +10,13 @@ sextic twist y^2 = x^3 + 3/xi over Fp2 with xi = 9 + i. Fp12 is
 represented flat as six Fp2 coefficients over w with w^6 = xi; the
 untwist map (x, y) -> (x*w^2, y*w^3) carries twist points onto the
 curve over Fp12, which keeps all Miller-loop line evaluations sparse.
+G1 and G2 share the a = 0 group law of ``xchain.ec`` with secp256k1.
 
 Pure python, not constant time: simulation grade, not production
 signing code.
 """
+
+from .. import ec
 
 U = 4965661367192848881
 P = 36 * U**4 + 36 * U**3 + 24 * U**2 + 6 * U + 1
@@ -105,165 +108,48 @@ B2 = f2_mul((B, 0), f2_inv(XI))  # twist constant 3/(9+i)
 
 
 # ---------------------------------------------------------------------------
-# Group law, shared by G1 (field = Fp) and G2 (field = Fp2 on the twist).
-# Affine coordinates, None is the point at infinity.
+# G1 (field Fp) and G2 (field Fp2 on the twist) on the shared a = 0 law.
 # ---------------------------------------------------------------------------
 
-class _Ops:
-    """Field operation table so one group law serves both curves."""
+_F1 = ec.prime_curve(P, B, N)
 
-    def __init__(self, add, sub, mul, sqr, inv, neg, scale_int, zero, one, b):
-        self.add, self.sub, self.mul, self.sqr = add, sub, mul, sqr
-        self.inv, self.neg, self.scale_int = inv, neg, scale_int
-        self.zero, self.one, self.b = zero, one, b
-
-
-_F1 = _Ops(
-    add=lambda a, b: (a + b) % P,
-    sub=lambda a, b: (a - b) % P,
-    mul=lambda a, b: a * b % P,
-    sqr=lambda a: a * a % P,
-    inv=_inv,
-    neg=lambda a: (-a) % P,
-    scale_int=lambda a, k: a * k % P,
-    zero=0, one=1, b=B,
-)
-
-_F2 = _Ops(
+_F2 = ec.Curve(
     add=f2_add, sub=f2_sub, mul=f2_mul, sqr=f2_sqr,
     inv=f2_inv, neg=f2_neg, scale_int=f2_scale,
-    zero=F2_ZERO, one=F2_ONE, b=B2,
+    zero=F2_ZERO, one=F2_ONE, b=B2, order=N,
 )
-
-
-def _on_curve(ops, pt):
-    if pt is None:
-        return True
-    x, y = pt
-    lhs = ops.sqr(y)
-    rhs = ops.add(ops.mul(ops.sqr(x), x), ops.b)
-    return lhs == rhs
-
-
-def _neg_pt(pt):
-    if pt is None:
-        return None
-    return (pt[0], f2_neg(pt[1]) if isinstance(pt[1], tuple) else (-pt[1]) % P)
-
-
-def _add_pts(ops, p1, p2):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if y1 != y2:
-            return None
-        if y1 == ops.zero:
-            return None
-        lam = ops.mul(ops.scale_int(ops.sqr(x1), 3),
-                      ops.inv(ops.scale_int(y1, 2)))
-    else:
-        lam = ops.mul(ops.sub(y2, y1), ops.inv(ops.sub(x2, x1)))
-    x3 = ops.sub(ops.sub(ops.sqr(lam), x1), x2)
-    y3 = ops.sub(ops.mul(lam, ops.sub(x1, x3)), y1)
-    return (x3, y3)
-
-
-# Scalar multiplication runs in Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3),
-# Z == 0 being the point at infinity, so that it needs one inversion in
-# all instead of one per group operation. Formulas for a = 0 from the
-# Explicit-Formulas Database (hyperelliptic.org/EFD/g1p/auto-shortw-jacobian-0).
-
-def _jac_double(ops, X1, Y1, Z1):
-    """dbl-2009-l; a point at infinity or of order two doubles to Z3 == 0."""
-    add, sub, sqr, scale = ops.add, ops.sub, ops.sqr, ops.scale_int
-    A = sqr(X1)
-    B_ = sqr(Y1)
-    C = sqr(B_)
-    D = sub(sub(sqr(add(X1, B_)), A), C)
-    D = add(D, D)
-    E = scale(A, 3)
-    X3 = sub(sub(sqr(E), D), D)
-    Y3 = sub(ops.mul(E, sub(D, X3)), scale(C, 8))
-    Z3 = ops.mul(add(Y1, Y1), Z1)
-    return X3, Y3, Z3
-
-
-def _jac_add_affine(ops, X1, Y1, Z1, x2, y2):
-    """madd-2007-bl: Jacobian (X1, Y1, Z1) plus the affine point (x2, y2)."""
-    if Z1 == ops.zero:
-        return x2, y2, ops.one
-    add, sub, mul, sqr = ops.add, ops.sub, ops.mul, ops.sqr
-    Z1Z1 = sqr(Z1)
-    H = sub(mul(x2, Z1Z1), X1)
-    r = sub(mul(y2, mul(Z1, Z1Z1)), Y1)
-    if H == ops.zero:
-        if r == ops.zero:
-            return _jac_double(ops, X1, Y1, Z1)
-        return ops.one, ops.one, ops.zero
-    r = add(r, r)
-    HH = sqr(H)
-    I = ops.scale_int(HH, 4)
-    J = mul(H, I)
-    V = mul(X1, I)
-    X3 = sub(sub(sub(sqr(r), J), V), V)
-    Y1J = mul(Y1, J)
-    Y3 = sub(sub(mul(r, sub(V, X3)), Y1J), Y1J)
-    Z3 = sub(sub(sqr(add(Z1, H)), Z1Z1), HH)
-    return X3, Y3, Z3
-
-
-def _mul_pt(ops, pt, k):
-    """k * pt by left-to-right double-and-add, k taken modulo N."""
-    k %= N
-    if pt is None or not k:
-        return None
-    x, y = pt
-    X, Y, Z = x, y, ops.one
-    for bit in bin(k)[3:]:
-        X, Y, Z = _jac_double(ops, X, Y, Z)
-        if bit == "1":
-            X, Y, Z = _jac_add_affine(ops, X, Y, Z, x, y)
-    if Z == ops.zero:
-        return None
-    z_inv = ops.inv(Z)
-    z_inv2 = ops.sqr(z_inv)
-    return ops.mul(X, z_inv2), ops.mul(ops.mul(Y, z_inv2), z_inv)
 
 
 def g1_add(p1, p2):
-    return _add_pts(_F1, p1, p2)
+    return ec.add(_F1, p1, p2)
 
 
 def g1_mul(pt, k):
-    return _mul_pt(_F1, pt, k)
+    return ec.mul(_F1, pt, k)
 
 
 def g1_neg(pt):
-    return _neg_pt(pt)
+    return ec.neg(_F1, pt)
 
 
 def g1_on_curve(pt):
-    return _on_curve(_F1, pt)
+    return ec.on_curve(_F1, pt)
 
 
 def g2_add(p1, p2):
-    return _add_pts(_F2, p1, p2)
+    return ec.add(_F2, p1, p2)
 
 
 def g2_mul(pt, k):
-    return _mul_pt(_F2, pt, k)
+    return ec.mul(_F2, pt, k)
 
 
 def g2_neg(pt):
-    return _neg_pt(pt)
+    return ec.neg(_F2, pt)
 
 
 def g2_on_curve(pt):
-    return _on_curve(_F2, pt)
+    return ec.on_curve(_F2, pt)
 
 
 def g1_to_bytes(pt) -> bytes:

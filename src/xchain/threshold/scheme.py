@@ -15,6 +15,7 @@ Two backends ship:
 All operations are pure functions of their inputs and seeds.
 """
 
+from functools import lru_cache
 from typing import Dict, List, Sequence
 
 from ..hashing import keccak256
@@ -65,7 +66,20 @@ def lagrange_at_zero(indices: Sequence[int]) -> Dict[int, int]:
     return lams
 
 
-class _ModPBackend:
+# Distinct messages one backend instance remembers the base of.
+_BASES_KEPT = 4096
+
+
+class _Backend:
+    """Memoizes ``hash_to_base`` per instance: every share of a message
+    is signed and checked against the same base, which is a keccak
+    (modp) or a try-and-increment search onto G1 (bn254)."""
+
+    def __init__(self):
+        self.hash_to_base = lru_cache(maxsize=_BASES_KEPT)(self._hash_to_base)
+
+
+class _ModPBackend(_Backend):
     """Scalar-field stand-in group; see module docstring."""
 
     name = "modp"
@@ -82,7 +96,7 @@ class _ModPBackend:
     def commit_zero(self):
         return 0
 
-    def hash_to_base(self, message: bytes):
+    def _hash_to_base(self, message: bytes):
         h = int.from_bytes(keccak256(b"modp-base" + message), "big") % ORDER
         return h if h != 0 else 1
 
@@ -105,7 +119,7 @@ class _ModPBackend:
         return int(s).to_bytes(32, "big")
 
 
-class _Bn254Backend:
+class _Bn254Backend(_Backend):
     name = "bn254"
 
     def commit(self, scalar):
@@ -120,7 +134,7 @@ class _Bn254Backend:
     def commit_zero(self):
         return None
 
-    def hash_to_base(self, message: bytes):
+    def _hash_to_base(self, message: bytes):
         return bn254.hash_to_g1(message)
 
     def sig_scale(self, base, scalar):

@@ -1,5 +1,6 @@
 import pytest
 
+from xchain import accounts, ec
 from xchain.accounts import (
     AccountKey,
     SignatureError,
@@ -10,12 +11,47 @@ from xchain.accounts import (
 )
 from xchain.hashing import keccak256
 
+P = 2**256 - 2**32 - 977
+N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
+
+
+def affine_add(p1, p2):
+    """Reference secp256k1 addition, one inversion per add."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    (x1, y1), (x2, y2) = p1, p2
+    if x1 == x2:
+        if (y1 + y2) % P == 0:
+            return None
+        lam = 3 * x1 * x1 * pow(2 * y1, -1, P) % P
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, P) % P
+    x3 = (lam * lam - x1 - x2) % P
+    return (x3, (lam * (x1 - x3) - y1) % P)
+
 
 def test_generator_sanity():
     # y^2 == x^3 + 7 for the configured generator
     x, y = public_key(1)
-    p = 2**256 - 2**32 - 977
-    assert (y * y - (x * x * x + 7)) % p == 0
+    assert (y * y - (x * x * x + 7)) % P == 0
+
+
+def test_known_ethereum_addresses():
+    assert address_of(1).hex() == "7e5f4552091a69125d5dfcb7b8c2659029395bdf"
+    assert address_of(2).hex() == "2b5ad5c4795c026514f8317c7a215e218dccd6cf"
+
+
+def test_scalar_mul_matches_affine_addition():
+    gen = public_key(1)
+    acc = None
+    for k in range(17):
+        assert ec.mul(accounts._CURVE, gen, k) == acc
+        acc = affine_add(acc, gen)
+    assert ec.mul(accounts._CURVE, gen, N - 1) == (gen[0], P - gen[1])
+    assert ec.mul(accounts._CURVE, gen, N) is None
+    assert ec.mul(accounts._CURVE, gen, N + 1) == gen
 
 
 def test_sign_recover_round_trip():
@@ -56,3 +92,10 @@ def test_address_is_20_bytes_and_stable():
     assert len(address_of(42)) == 20
     assert address_of(42) == address_of(42)
     assert address_of(42) != address_of(43)
+
+
+def test_account_address_derived_once(monkeypatch):
+    key = AccountKey(private_key=42)
+    assert key.address == address_of(42)
+    monkeypatch.setattr(accounts, "address_of", None)  # a second call would fail
+    assert key.address == address_of(42)

@@ -4,6 +4,7 @@ verification rests on."""
 
 import pytest
 
+from xchain import ec
 from xchain.threshold import bn254 as curve
 
 
@@ -55,13 +56,13 @@ def test_jacobian_addition_special_cases():
     # that scalar multiplication stays a group law on every curve point.
     for ops, gen in ((curve._F1, curve.G1), (curve._F2, curve.G2)):
         x, y = gen
-        assert curve._jac_add_affine(ops, x, y, ops.one, x, y) \
-            == curve._jac_double(ops, x, y, ops.one)
+        assert ec._jac_add_affine(ops, x, y, ops.one, x, y) \
+            == ec._jac_double(ops, x, y, ops.one)
         neg_y = ops.neg(y)
-        assert curve._jac_add_affine(ops, x, neg_y, ops.one, x, y)[2] == ops.zero
-        assert curve._jac_add_affine(ops, ops.one, ops.one, ops.zero, x, y) \
+        assert ec._jac_add_affine(ops, x, neg_y, ops.one, x, y)[2] == ops.zero
+        assert ec._jac_add_affine(ops, ops.one, ops.one, ops.zero, x, y) \
             == (x, y, ops.one)
-        assert curve._jac_double(ops, ops.one, ops.one, ops.zero)[2] == ops.zero
+        assert ec._jac_double(ops, ops.one, ops.one, ops.zero)[2] == ops.zero
 
 
 def test_final_exponentiation_matches_generic_power():

@@ -33,7 +33,8 @@ def test_digest_properties(data):
 
 
 def test_block_boundary_lengths():
-    # rate is 136 bytes; check inputs straddling the boundary
-    for n in (134, 135, 136, 137, 271, 272, 273):
+    # rate is 136 bytes; check the empty input, inputs straddling the
+    # boundary and inputs of three or more blocks
+    for n in (0, 134, 135, 136, 137, 271, 272, 273, 407, 408, 409, 1000):
         data = bytes(range(256))[:1] * n
         assert sha3_256(data) == hashlib.sha3_256(data).digest()

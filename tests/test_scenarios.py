@@ -6,7 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 from xchain.cli import main
+from xchain.coordination import EffectiveStatus
 from xchain.scenario import Scenario, ScenarioError
+from xchain.simnet import FaultSpec
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 TESTDATA = Path(__file__).parent.parent / "testdata"
@@ -60,6 +62,47 @@ def test_sweep_cells_cover_all_roles():
     assert any("view:" in n for n in names)
     assert any(n.startswith("drop:") for n in names)
     assert any(n.startswith("remove:") for n in names)
+
+
+def _late_submissions(extra_delay, count):
+    """Delays the next ``count`` submissions after the commit is signed."""
+    return FaultSpec(kind="delay_message", mtype="submit", at_step="orig:commit_signed",
+                     extra_delay=extra_delay, count=count)
+
+
+START, COMMIT, IGNORE = ("start", True), ("commit", True), ("ignore", True)
+
+
+@pytest.mark.parametrize("fault,committed,submitted", [
+    # from tick 8 on every submit_reply is dropped: the start's reply
+    # arrives, the accepted commit's reply is lost; no ignore follows
+    (FaultSpec(kind="drop_message", mtype="submit_reply", at_tick=8), True,
+     [START, COMMIT]),
+    # the commit lands after its submission timed out, before the ignore
+    (_late_submissions(42, count=1), True, [START, COMMIT, ("ignore", False)]),
+    # the ignore lands first and the late commit is rejected
+    (_late_submissions(60, count=1), False, [START, IGNORE, ("commit", False)]),
+    # both are still in flight when the ignore's submission times out
+    (_late_submissions(120, count=2), True, [START, COMMIT, ("ignore", False)]),
+    # neither lands: the record times out
+    (FaultSpec(kind="drop_message", mtype="submit", at_step="orig:commit_signed"), False,
+     [START]),
+], ids=["commit-reply-lost", "commit-lands-late", "ignore-lands-first",
+        "commit-and-ignore-late", "commit-and-ignore-lost"])
+def test_handle_follows_coordination_record(fault, committed, submitted):
+    result = Scenario.load(str(SCENARIO_DIR / "conditional_buy.scn")).run(
+        extra_faults=[fault])
+    world = result.world
+    assert not world.net.tick_limit_hit
+    (handle,) = result.handles["purchase"]
+    status = world.coordination[handle.coordination_ref].status_of(
+        handle.crosschain_tx_id, handle.originating_sidechain_id)
+    assert handle.outcome is not None and handle.committed is committed
+    assert (status is EffectiveStatus.COMMITTED) is committed
+    assert len(world.committed_contracts(handle.crosschain_tx_id)) == (2 if committed else 0)
+    assert world.atomicity_ok(handle.crosschain_tx_id)
+    assert [(rec["op"], rec["accepted"]) for rec in world.audit_log
+            if rec["kind"] == "coordination"] == submitted
 
 
 # --- CLI ----------------------------------------------------------------------------------

@@ -204,3 +204,24 @@ def test_dkg_rejects_empty_and_duplicates(scheme):
     dealing = scheme.make_dealing(config, 1, rng_seed=4)
     with pytest.raises(Exception):
         scheme.dkg_round([dealing, dealing], config)
+
+
+def test_message_hashed_to_base_once_per_backend(monkeypatch):
+    from xchain.threshold import scheme as scheme_module
+
+    calls = []
+
+    def counting_hash_to_g1(message):
+        calls.append(message)
+        return original(message)
+
+    original = scheme_module.bn254.hash_to_g1
+    monkeypatch.setattr(scheme_module.bn254, "hash_to_g1", counting_hash_to_g1)
+    scheme = scheme_module.ThresholdScheme(scheme_module._Bn254Backend())
+    config = ThresholdConfig(n=3, f=1, m=2)
+    shares, pk = scheme.keygen_dealer(config, 5)
+    sig_shares = [scheme.sign_share(s, b"once") for s in shares]
+    for s, sig_share in zip(shares, sig_shares):
+        assert scheme.verify_share(scheme.public_share(s), b"once", sig_share)
+    assert scheme.verify(pk, b"once", scheme.combine(sig_shares[:2], config))
+    assert calls == [b"once"]
