@@ -2,9 +2,12 @@
 group laws, and the bilinearity relation e(k*P, Q) == e(P, k*Q) that
 verification rests on."""
 
+import hashlib
+
 import pytest
 
 from xchain import ec
+from xchain.hashing import keccak256
 from xchain.threshold import bn254 as curve
 
 
@@ -69,11 +72,56 @@ def test_final_exponentiation_matches_generic_power():
     p = curve.P
     easy = (p**6 - 1) * (p**2 + 1)
     hard = (p**4 - p**2 + 1) // curve.N
-    for f in (curve.miller_loop(curve.G1, curve.G2),
-              curve.miller_loop(curve.g1_mul(curve.G1, 5),
-                                curve.g2_mul(curve.G2, 7))):
+    for f in (curve.miller_loop([(curve.G1, curve.G2)]),
+              curve.miller_loop([(curve.g1_mul(curve.G1, 5),
+                                  curve.g2_mul(curve.G2, 7))])):
         expected = curve.f12_pow(curve.f12_pow(f, easy), hard)
         assert curve.final_exponentiation(f) == expected
+
+
+def _schoolbook_f12_mul(a, b):
+    """Reference product over the flat basis w^0..w^5 with w^6 = xi."""
+    acc = [curve.F2_ZERO] * 11
+    for i in range(6):
+        for j in range(6):
+            acc[i + j] = curve.f2_add(acc[i + j], curve.f2_mul(a[i], b[j]))
+    for k in range(10, 5, -1):
+        acc[k - 6] = curve.f2_add(acc[k - 6], curve.f2_mul_xi(acc[k]))
+    return tuple(acc[:6])
+
+
+def _random_f12(rng):
+    return tuple((rng.randrange(curve.P), rng.randrange(curve.P))
+                 for _ in range(6))
+
+
+def _cyclotomic(f):
+    """f^((p^6 - 1)(p^2 + 1)): the easy part of the final exponentiation."""
+    t = curve.f12_mul(curve.f12_conj6(f), curve.f12_inv(f))
+    return curve.f12_mul(curve.f12_frobenius(t, 2), t)
+
+
+def test_tower_products_match_schoolbook():
+    import random
+    rng = random.Random(4)
+    top = ((curve.P - 1, curve.P - 1),) * 6
+    sparse = (curve.F2_ZERO, (3, 4), curve.F2_ZERO, (5, 0), curve.F2_ZERO, curve.F2_ZERO)
+    elements = [top, sparse, curve.F12_ONE] + [_random_f12(rng) for _ in range(6)]
+    for a in elements:
+        assert curve.f12_sqr(a) == _schoolbook_f12_mul(a, a)
+        for b in elements[:4]:
+            assert curve.f12_mul(a, b) == _schoolbook_f12_mul(a, b)
+            assert curve.f12_mul(b, a) == _schoolbook_f12_mul(a, b)
+
+
+def test_cyclotomic_squaring_and_power_by_u():
+    import random
+    rng = random.Random(5)
+    elements = [_cyclotomic(_random_f12(rng)) for _ in range(3)]
+    elements.append(_cyclotomic(curve.miller_loop([(curve.G1, curve.G2)])))
+    for t in elements:
+        assert curve._cyc_sqr(t) == curve.f12_sqr(t)
+        assert curve._cyc_pow_u(t) == curve.f12_pow(t, curve.U)
 
 
 def test_field_tower():
@@ -100,6 +148,29 @@ def test_pairing_bilinear():
         == curve.pairing(curve.G1, curve.g2_mul(curve.G2, a))
 
 
+def test_pairing_value_pinned():
+    # sha256 of e(G1, G2)'s coefficients (c0..c5, each real then
+    # imaginary part, 32-byte big-endian), as computed by the affine
+    # Miller loop and generic final exponentiation this kernel replaced
+    e = curve.pairing(curve.G1, curve.G2)
+    digest = hashlib.sha256(b"".join(
+        v.to_bytes(32, "big") for coeff in e for v in coeff)).hexdigest()
+    assert digest == "a0ffc0e668848ab9dc71bdd8266d647a346d814b9d2bcfc710c426ffdfd3922c"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_multi_pair_miller_loop_matches_single_pairings(n):
+    points = [(curve.g1_mul(curve.G1, 3 + k), curve.g2_mul(curve.G2, 11 + 2 * k))
+              for k in range(n)]
+    expected = curve.F12_ONE
+    for p, q in points:
+        expected = curve.f12_mul(expected, curve.pairing(p, q))
+    # pairs holding the point at infinity contribute one
+    pairs = points[:1] + [(None, curve.G2), (curve.G1, None)] + points[1:]
+    assert curve.final_exponentiation(curve.miller_loop(pairs)) == expected
+    assert curve.miller_loop([(None, curve.G2)]) == curve.F12_ONE
+
+
 def test_pairing_product_check():
     k = 31337
     assert curve.pairing_check([
@@ -122,6 +193,26 @@ def test_hash_to_g1():
     assert curve.g1_on_curve(p3)
     # G1 has cofactor one: any curve point is in the group
     assert curve.g1_mul(p1, curve.N) is None
+
+
+def _hash_to_g1_euler(message):
+    """Reference: try-and-increment with an explicit Euler criterion."""
+    p = curve.P
+    seed = keccak256(message)
+    for counter in range(256):
+        digest = keccak256(seed + counter.to_bytes(4, "big"))
+        x = int.from_bytes(digest, "big") % p
+        rhs = (x * x % p * x + curve.B) % p
+        if pow(rhs, (p - 1) // 2, p) == 1:
+            y = pow(rhs, (p + 1) // 4, p)
+            return (x, p - y if y & 1 else y)
+    raise AssertionError("no point")
+
+
+def test_hash_to_g1_matches_euler_criterion():
+    for i in range(256):
+        message = b"msg-%d" % i
+        assert curve.hash_to_g1(message) == _hash_to_g1_euler(message)
 
 
 def test_point_serialization():

@@ -391,8 +391,8 @@ def test_stale_view_result_rejected():
 
 # --- threshold faults --------------------------------------------------------------------
 
-def test_corrupt_share_tolerated_then_fatal():
-    world, mn, ref, contracts = conditional_buy_world()
+def _corrupt_share_tolerated_then_fatal(config=None):
+    world, mn, ref, contracts = conditional_buy_world(config=config)
     corrupt_one = world.sidechains[SC1].validator(2)
     world.net.inject(FaultSpec(kind="corrupt_share", node=corrupt_one.node_id,
                                at_tick=0))
@@ -401,7 +401,7 @@ def test_corrupt_share_tolerated_then_fatal():
     drain(world)
     assert handle.committed  # one bad share of four is tolerated
 
-    world2, mn2, ref2, contracts2 = conditional_buy_world()
+    world2, mn2, ref2, contracts2 = conditional_buy_world(config=config)
     coordinator_index = mn2.members[SC1].index
     for validator in world2.sidechains[SC1].validators:
         if validator.index != coordinator_index:
@@ -411,6 +411,16 @@ def test_corrupt_share_tolerated_then_fatal():
     handle2 = world2.submit_crosschain_tx("nodeA", tx2)
     drain(world2)
     assert handle2.outcome == ("failed", eng.START_SIGNING_FAILED)
+
+
+def test_corrupt_share_tolerated_then_fatal():
+    _corrupt_share_tolerated_then_fatal()
+
+
+def test_corrupt_share_tolerated_then_fatal_bn254():
+    # whole worlds on the real pairing: every share and signature check
+    # is a bn254 pairing check
+    _corrupt_share_tolerated_then_fatal(WorldConfig(scheme="bn254"))
 
 
 def test_remove_validators_below_threshold_times_out():
