@@ -9,6 +9,17 @@ own validation pipeline passes. Every labelled protocol step is traced
 with a machine-readable name, which is also the namespace fault
 triggers bind to.
 
+Every validator admits a subordinate transaction or view the same way
+(ValidatorNode._admit), when its member starts the sub or view flow and
+again when it is asked to mine the transaction or sign the view result:
+one account signed the whole tree (signer-mismatch), the signer may
+submit transactions or views on this sidechain (permission-denied;
+traced as sub:/view:permission_checked), the coordination contract is
+trusted (untrusted-coordination; trust_checked), its entry for the
+transaction is still started (transaction-not-active) and every view
+sidechain below has a registered key (pubkey-unavailable; both traced
+as status_checked).
+
 The atomicity contract: for any fault schedule, the contracts finalized
 with a commit decision for one crosschain transaction are either all of
 its participating contracts or none of them, and every node's decision
@@ -415,9 +426,49 @@ class ValidatorNode:
         allowed = self.sidechain.tx_allowed
         return allowed is None or signer in allowed
 
-    def _view_permitted(self, signer: bytes) -> bool:
-        allowed = self.sidechain.view_allowed
-        return allowed is None or signer in allowed
+    def _admit(self, tx: CrosschainTransaction, allowed: Optional[Set[bytes]],
+               flow: Optional[str] = None):
+        """The checks every validator repeats before it executes a
+        subordinate transaction or view: one signer for the whole tree,
+        the signer in ``allowed`` (None allows everyone), a trusted
+        coordination contract, an active entry on it, and a registered
+        key for every view sidechain below. Returns (signer, None) or
+        (None, reason). With a flow name ("sub" or "view") it traces
+        that flow's permission_checked, trust_checked and
+        status_checked steps as each check passes."""
+        try:
+            signer = wire.verify_common_signer(tx)
+        except wire.WireError:
+            return None, SIGNER_MISMATCH
+        if allowed is not None and signer not in allowed:
+            return None, PERMISSION_DENIED
+        if flow:
+            self.step(f"{flow}:permission_checked")
+        if not self._trusted(tx):
+            return None, UNTRUSTED_COORDINATION
+        if flow:
+            self.step(f"{flow}:trust_checked")
+        if not self._tx_active(tx):
+            return None, TX_NOT_ACTIVE
+        if not self._pubkeys_available(tx, views_only=True):
+            return None, PUBKEY_UNAVAILABLE
+        if flow:
+            self.step(f"{flow}:status_checked")
+        return signer, None
+
+    def _signed_by(self, chain: CoordinationChain, msg: ThresholdMessage,
+                   signature) -> bool:
+        """msg carries its executing sidechain's threshold signature
+        under the key registered on chain."""
+        pubkey = chain.get_pubkey(msg.executing_sidechain_id)
+        return pubkey is not None and self.world.scheme.verify(
+            pubkey, encode_message(msg), signature)
+
+    def _stale(self, msg: ThresholdMessage, head: int) -> bool:
+        """msg's block number is ahead of head or older than the
+        freshness window allows."""
+        return not (head - self.world.config.freshness_window
+                    <= msg.block_number <= head)
 
     def _trusted(self, tx: CrosschainTransaction) -> bool:
         ref = (tx.coordination_blockchain_id, tx.coordination_contract_address)
@@ -431,12 +482,12 @@ class ValidatorNode:
             (tx.coordination_blockchain_id, tx.coordination_contract_address)]
 
     def _tx_active(self, tx: CrosschainTransaction) -> bool:
-        chain = self._coordination_for(tx)
-        if not chain.has_entry(tx.crosschain_tx_id, tx.originating_sidechain_id):
+        try:
+            status = self._coordination_for(tx).status_of(
+                tx.crosschain_tx_id, tx.originating_sidechain_id)
+        except UnknownEntryError:
             return False
-        return chain.status_of(
-            tx.crosschain_tx_id,
-            tx.originating_sidechain_id) is EffectiveStatus.STARTED
+        return status is EffectiveStatus.STARTED
 
     def _pubkeys_available(self, tx: CrosschainTransaction,
                            views_only: bool = False) -> bool:
@@ -469,15 +520,11 @@ class ValidatorNode:
                 return VIEW_FAILED
             vmsg, sig = packed
             expected = frame.expected[pos].subtree
-            if vmsg.view_hash != wire.tx_hash(expected):
+            if (vmsg.view_hash != wire.tx_hash(expected)
+                    or not self._signed_by(chain, vmsg, sig)):
                 return VIEW_RESULT_BAD_SIGNATURE
-            pubkey = chain.get_pubkey(vmsg.executing_sidechain_id)
-            if pubkey is None or not self.world.scheme.verify(
-                    pubkey, encode_message(vmsg), sig):
-                return VIEW_RESULT_BAD_SIGNATURE
-            head = self.world.sidechains[vmsg.executing_sidechain_id].block_number
-            if (vmsg.block_number > head
-                    or vmsg.block_number < head - self.world.config.freshness_window):
+            if self._stale(vmsg, self.world.sidechains[
+                    vmsg.executing_sidechain_id].block_number):
                 return STALE_VIEW_RESULT
             frame.view_results[pos] = vmsg.result
         return None
@@ -531,14 +578,8 @@ class ValidatorNode:
                 for sub in tx.walk():
                     if sub.tx_type is not TxType.SUBORDINATE_TX:
                         continue
-                    h = wire.tx_hash(sub)
-                    packed = readies.get(h)
-                    if packed is None:
-                        return READY_BAD_SIGNATURE
-                    rmsg, sig = packed
-                    pubkey = chain.get_pubkey(rmsg.executing_sidechain_id)
-                    if pubkey is None or not self.world.scheme.verify(
-                            pubkey, encode_message(rmsg), sig):
+                    packed = readies.get(wire.tx_hash(sub))
+                    if packed is None or not self._signed_by(chain, *packed):
                         return READY_BAD_SIGNATURE
             return None
         if kind == "ready":
@@ -551,22 +592,11 @@ class ValidatorNode:
             return None
         if kind == "view_result":
             view: CrosschainTransaction = body["tx"]
-            try:
-                signer = wire.verify_common_signer(view)
-            except wire.WireError:
-                return SIGNER_MISMATCH
-            if not self._view_permitted(signer):
-                return PERMISSION_DENIED
-            if not self._trusted(view):
-                return UNTRUSTED_COORDINATION
-            if not self._tx_active(view):
-                return TX_NOT_ACTIVE
-            if not self._pubkeys_available(view, views_only=True):
-                return PUBKEY_UNAVAILABLE
+            signer, verdict = self._admit(view, self.sidechain.view_allowed)
+            if verdict is not None:
+                return verdict
             claimed: ThresholdMessage = body["result_message"]
-            head = self.sidechain.block_number
-            if (claimed.block_number > head
-                    or claimed.block_number < head - self.world.config.freshness_window):
+            if self._stale(claimed, self.sidechain.block_number):
                 return STALE_VIEW_RESULT
             frame = CallFrame.for_tx(view)
             verdict = self._verify_view_results(view, frame, body["view_results"])
@@ -607,24 +637,20 @@ class ValidatorNode:
 
     def _mine_verdict(self, body: dict) -> Optional[str]:
         tx: CrosschainTransaction = body["tx"]
-        try:
-            signer = wire.verify_common_signer(tx)
-        except wire.WireError:
-            return SIGNER_MISMATCH
         if tx.tx_type is TxType.SUBORDINATE_TX:
             # fig-13 style checks happen at mining distribution for
             # subordinate transactions
-            if not self._tx_permitted(signer):
-                return PERMISSION_DENIED
-            if not self._trusted(tx):
-                return UNTRUSTED_COORDINATION
-            if not self._tx_active(tx):
-                return TX_NOT_ACTIVE
-            if not self._pubkeys_available(tx, views_only=True):
-                return PUBKEY_UNAVAILABLE
+            signer, verdict = self._admit(tx, self.sidechain.tx_allowed)
+            if verdict is not None:
+                return verdict
             remaining = self._entry_timeout_block(tx) - self._coordination_for(tx).block_number
             if remaining > self.sidechain.max_lock_horizon:
                 return TIMEOUT_UNACCEPTABLE
+        else:
+            try:
+                signer = wire.verify_common_signer(tx)
+            except wire.WireError:
+                return SIGNER_MISMATCH
         frame = CallFrame.for_tx(tx)
         verdict = self._verify_view_results(tx, frame, body["view_results"])
         if verdict is not None:
@@ -658,12 +684,17 @@ class ValidatorNode:
         key = (msg.body["tx_id"], msg.body["orig_id"])
         if msg.body.get("forward", False):
             self.step("sub:check_forwarded")
-            for validator in self.sidechain.validators:
-                if validator is not self:
-                    self.send(validator.node_id, "check_coordination",
-                              {**msg.body, "forward": False},
-                              latency=self.world.config.intra_latency)
+            self._check_siblings(msg.body)
         self._resolve_context(key, via="check-message")
+
+    def _check_siblings(self, body: dict) -> None:
+        """Send check_coordination to the other validators of this
+        sidechain, for them not to forward again."""
+        for validator in self.sidechain.validators:
+            if validator is not self:
+                self.send(validator.node_id, "check_coordination",
+                          {**body, "forward": False},
+                          latency=self.world.config.intra_latency)
 
     def _resolve_context(self, key: tuple, via: str) -> None:
         ctx = self.contexts.get(key)
@@ -673,10 +704,10 @@ class ValidatorNode:
         chain = self.world.coordination.get(ctx.holder.coordination_ref)
         if chain is None:
             return
-        if not chain.has_entry(tx_id, orig_id):
-            status = EffectiveStatus.IGNORED
-        else:
+        try:
             status = chain.status_of(tx_id, orig_id)
+        except UnknownEntryError:
+            status = EffectiveStatus.IGNORED
         if status is EffectiveStatus.STARTED:
             # fired early (clock skew or an explicit check while still
             # active): re-arm until past the timeout block
@@ -771,9 +802,9 @@ class ValidatorNode:
 
     def _gather_views(self, mn: "MultichainNode", tx: CrosschainTransaction,
                       frame: CallFrame, deadline: int):
-        """Dispatch the depth-1 subordinate views of tx and collect
-        their signed results. Returns (view_results dict, None) or
-        (None, failure reason)."""
+        """Dispatch the depth-1 subordinate views of tx, collect their
+        signed results and verify them into frame. Returns
+        (view_results dict, None) or (None, failure reason)."""
         positions = frame.view_positions()
         if not positions:
             return {}, None
@@ -796,6 +827,9 @@ class ValidatorNode:
             if not body.get("ok"):
                 return None, body.get("reason", VIEW_FAILED)
             results[pos] = (body["message"], body["signature"])
+        verdict = self._verify_view_results(tx, frame, results)
+        if verdict is not None:
+            return None, verdict
         return results, None
 
     # -- mining round -------------------------------------------------------------
@@ -898,9 +932,6 @@ class ValidatorNode:
                 mn, tx, frame, deadline)
             if failure is not None:
                 raise _Failed(failure)
-            verdict = self._verify_view_results(tx, frame, view_results)
-            if verdict is not None:
-                raise _Failed(verdict)
             self.step("orig:views_collected")
 
             try:
@@ -936,12 +967,9 @@ class ValidatorNode:
                     if not body.get("ok"):
                         raise _Failed(SUBORDINATE_FAILED,
                                       body.get("reason", ""))
-                    rmsg: ThresholdMessage = body["message"]
-                    pubkey = chain.get_pubkey(rmsg.executing_sidechain_id)
-                    if pubkey is None or not self.world.scheme.verify(
-                            pubkey, encode_message(rmsg), body["signature"]):
+                    readies[h] = (body["message"], body["signature"])
+                    if not self._signed_by(chain, *readies[h]):
                         raise _Failed(READY_BAD_SIGNATURE)
-                    readies[h] = (rmsg, body["signature"])
             self.step("orig:ready_collected")
 
             commit_msg = self.world.derive_message(MessageKind.COMMIT, tx)
@@ -1006,11 +1034,7 @@ class ValidatorNode:
     def _broadcast_check(self, mn: "MultichainNode", tx: CrosschainTransaction) -> None:
         body = {"tx_id": tx.crosschain_tx_id,
                 "orig_id": tx.originating_sidechain_id}
-        for validator in self.sidechain.validators:
-            if validator is not self:
-                self.send(validator.node_id, "check_coordination",
-                          {**body, "forward": False},
-                          latency=self.world.config.intra_latency)
+        self._check_siblings(body)
         involved = {node.execution_sidechain_id for node in tx.walk()
                     if node.tx_type is not TxType.SUBORDINATE_VIEW}
         for chain_id in sorted(involved, key=lambda s: s.value):
@@ -1039,21 +1063,9 @@ class ValidatorNode:
                       latency=cfg.cross_latency)
 
         self.step("sub:received", tx.crosschain_tx_id)
-        try:
-            signer = wire.verify_common_signer(tx)
-        except wire.WireError:
-            return fail(SIGNER_MISMATCH)
-        if not self._tx_permitted(signer):
-            return fail(PERMISSION_DENIED)
-        self.step("sub:permission_checked")
-        if not self._trusted(tx):
-            return fail(UNTRUSTED_COORDINATION)
-        self.step("sub:trust_checked")
-        if not self._tx_active(tx):
-            return fail(TX_NOT_ACTIVE)
-        if not self._pubkeys_available(tx, views_only=True):
-            return fail(PUBKEY_UNAVAILABLE)
-        self.step("sub:status_checked")
+        signer, failure = self._admit(tx, self.sidechain.tx_allowed, "sub")
+        if failure is not None:
+            return fail(failure)
 
         deadline = self._global_deadline(tx)
         frame = CallFrame.for_tx(tx)
@@ -1061,9 +1073,6 @@ class ValidatorNode:
         view_results, failure = yield from self._gather_views(mn, tx, frame, deadline)
         if failure is not None:
             return fail(failure)
-        verdict = self._verify_view_results(tx, frame, view_results)
-        if verdict is not None:
-            return fail(verdict)
         self.step("sub:views_collected")
 
         try:
@@ -1109,30 +1118,15 @@ class ValidatorNode:
                        latency=cfg.cross_latency)
 
         self.step("view:received", view.crosschain_tx_id)
-        try:
-            signer = wire.verify_common_signer(view)
-        except wire.WireError:
-            return refuse(SIGNER_MISMATCH)
-        if not self._view_permitted(signer):
-            return refuse(PERMISSION_DENIED)
-        self.step("view:permission_checked")
-        if not self._trusted(view):
-            return refuse(UNTRUSTED_COORDINATION)
-        self.step("view:trust_checked")
-        if not self._tx_active(view):
-            return refuse(TX_NOT_ACTIVE)
-        if not self._pubkeys_available(view, views_only=True):
-            return refuse(PUBKEY_UNAVAILABLE)
-        self.step("view:status_checked")
+        signer, failure = self._admit(view, self.sidechain.view_allowed, "view")
+        if failure is not None:
+            return refuse(failure)
 
         deadline = self._global_deadline(view)
         frame = CallFrame.for_tx(view)
         view_results, failure = yield from self._gather_views(mn, view, frame, deadline)
         if failure is not None:
             return refuse(failure)
-        verdict = self._verify_view_results(view, frame, view_results)
-        if verdict is not None:
-            return refuse(verdict)
         self.step("view:children_collected")
 
         try:
@@ -1229,6 +1223,80 @@ class CallSpec:
     to: bytes
     data: bytes
     value: int = 0
+
+
+class _TreeBuilder:
+    """Builds one transaction tree by dry-running its entry call on the
+    multichain node's member replicas: every crosschain call the run
+    makes becomes a child node, in call order, with concrete
+    parameters. Transaction nodes take per-chain nonces in the order
+    their dry runs finish."""
+
+    def __init__(self, world: "World", mn: MultichainNode, sender: bytes,
+                 coordination_ref: Tuple[SidechainId, bytes],
+                 tx_id: CrosschainTxId, origin: SidechainId,
+                 timeout_blocks: Optional[int] = None):
+        self.world = world
+        self.mn = mn
+        self.sender = sender
+        self.coordination_ref = coordination_ref
+        self.tx_id = tx_id
+        self.origin = origin
+        self.timeout_blocks = timeout_blocks
+        self.nonce_cursor: Dict[SidechainId, int] = {}
+
+    def _nonce(self, chain_id: SidechainId, state: SidechainState) -> int:
+        offset = self.nonce_cursor.get(chain_id, 0)
+        self.nonce_cursor[chain_id] = offset + 1
+        return state.expected_nonce(self.sender) + offset
+
+    def build(self, tx_type: TxType, chain_id: SidechainId, to: bytes,
+              data: bytes, value: int = 0):
+        """(node, result) of one call; result is the view result bytes
+        for a view node and None for a transaction node."""
+        if chain_id not in self.mn.members or chain_id not in self.world.sidechains:
+            raise BuildError(MISSING_SIDECHAIN, chain_id.short())
+        state = self.world.sidechains[chain_id].state
+        children: List[CrosschainTransaction] = []
+
+        def executor(child_type: TxType) -> Callable:
+            def execute(c_chain, c_to, c_data):
+                try:
+                    node, result = self.build(child_type, c_chain, c_to, c_data)
+                except BuildError as exc:
+                    # surface the child's reason without re-wrapping
+                    raise ExecutionError(exc.reason, str(exc)) from exc
+                children.append(node)
+                return result
+            return execute
+
+        is_view = tx_type is TxType.SUBORDINATE_VIEW
+        result = None
+        try:
+            if is_view:
+                result = state.dry_run_view(
+                    to, data, sender=self.sender,
+                    view_executor=executor(TxType.SUBORDINATE_VIEW))
+            else:
+                state.dry_run(to, data, sender=self.sender, value=value,
+                              view_executor=executor(TxType.SUBORDINATE_VIEW),
+                              tx_recorder=executor(TxType.SUBORDINATE_TX))
+        except ExecutionError as exc:
+            raise BuildError(exc.reason, str(exc)) from exc
+        is_root = tx_type is TxType.ORIGINATING
+        coord_id, coord_addr = self.coordination_ref
+        node = CrosschainTransaction(
+            tx_type=tx_type,
+            coordination_blockchain_id=coord_id,
+            coordination_contract_address=coord_addr,
+            crosschain_timeout_blocks=self.timeout_blocks if is_root else None,
+            crosschain_tx_id=self.tx_id,
+            originating_sidechain_id=self.origin,
+            target_sidechain_id=None if is_root else chain_id,
+            nonce=0 if is_view else self._nonce(chain_id, state),
+            to=to, data=data, value=value,
+            subordinates=tuple(children))
+        return node, result
 
 
 class World:
@@ -1462,94 +1530,12 @@ class World:
         recording every emitted subordinate call in execution order with
         concrete parameters, and allocate in-order nonces per chain."""
         mn = self.multichain_nodes[mn_name]
-        account = account or mn.account
-        coord_id, coord_addr = coordination_ref
-        tx_id = tx_id or self.new_tx_id()
-        origin = entry.sidechain_id
-        nonce_cursor: Dict[SidechainId, int] = {}
-
-        def allocate_nonce(chain_id: SidechainId) -> int:
-            state = self.sidechains[chain_id].state
-            base = state.expected_nonce(account.address)
-            offset = nonce_cursor.get(chain_id, 0)
-            nonce_cursor[chain_id] = offset + 1
-            return base + offset
-
-        def build_view(chain_id: SidechainId, to: bytes, data: bytes):
-            if chain_id not in mn.members or chain_id not in self.sidechains:
-                raise BuildError(MISSING_SIDECHAIN, chain_id.short())
-            state = self.sidechains[chain_id].state
-            children: List[CrosschainTransaction] = []
-
-            def child_view_executor(c_chain, c_to, c_data):
-                try:
-                    child_node, child_result = build_view(c_chain, c_to, c_data)
-                except BuildError as exc:
-                    raise ExecutionError(exc.reason, str(exc)) from exc
-                children.append(child_node)
-                return child_result
-
-            try:
-                result = state.dry_run_view(to, data, sender=account.address,
-                                            view_executor=child_view_executor)
-            except ExecutionError as exc:
-                raise BuildError(exc.reason, str(exc)) from exc
-            node = CrosschainTransaction(
-                tx_type=TxType.SUBORDINATE_VIEW,
-                coordination_blockchain_id=coord_id,
-                coordination_contract_address=coord_addr,
-                crosschain_tx_id=tx_id,
-                originating_sidechain_id=origin,
-                target_sidechain_id=chain_id,
-                nonce=0, to=to, data=data,
-                subordinates=tuple(children))
-            return node, result
-
-        def build_tx(chain_id: SidechainId, to: bytes, data: bytes, value: int,
-                     is_root: bool) -> CrosschainTransaction:
-            if chain_id not in mn.members or chain_id not in self.sidechains:
-                raise BuildError(MISSING_SIDECHAIN, chain_id.short())
-            state = self.sidechains[chain_id].state
-            children: List[CrosschainTransaction] = []
-
-            def view_executor(c_chain, c_to, c_data):
-                try:
-                    child_node, child_result = build_view(c_chain, c_to, c_data)
-                except BuildError as exc:
-                    raise ExecutionError(exc.reason, str(exc)) from exc
-                children.append(child_node)
-                return child_result
-
-            def tx_recorder(c_chain, c_to, c_data):
-                try:
-                    child_node = build_tx(c_chain, c_to, c_data, 0, is_root=False)
-                except BuildError as exc:
-                    # surface the child's reason without re-wrapping
-                    raise ExecutionError(exc.reason, str(exc)) from exc
-                children.append(child_node)
-                from .sidechain import ExpectedCall
-                return ExpectedCall(is_view=False, target_sidechain_id=c_chain,
-                                    to=c_to, data=c_data, subtree=child_node)
-
-            try:
-                state.dry_run(to, data, sender=account.address, value=value,
-                              view_executor=view_executor, tx_recorder=tx_recorder)
-            except ExecutionError as exc:
-                raise BuildError(exc.reason, str(exc)) from exc
-            return CrosschainTransaction(
-                tx_type=TxType.ORIGINATING if is_root else TxType.SUBORDINATE_TX,
-                coordination_blockchain_id=coord_id,
-                coordination_contract_address=coord_addr,
-                crosschain_timeout_blocks=timeout_blocks if is_root else None,
-                crosschain_tx_id=tx_id,
-                originating_sidechain_id=origin,
-                target_sidechain_id=None if is_root else chain_id,
-                nonce=allocate_nonce(chain_id),
-                to=to, data=data, value=value,
-                subordinates=tuple(children))
-
-        return build_tx(entry.sidechain_id, entry.to, entry.data, entry.value,
-                        is_root=True)
+        builder = _TreeBuilder(self, mn, (account or mn.account).address,
+                               coordination_ref, tx_id or self.new_tx_id(),
+                               entry.sidechain_id, timeout_blocks)
+        tx, _ = builder.build(TxType.ORIGINATING, entry.sidechain_id,
+                              entry.to, entry.data, entry.value)
+        return tx
 
     def build_crosschain_view(self, mn_name: str, entry: CallSpec,
                               coordination_ref: Tuple[SidechainId, bytes],
@@ -1557,41 +1543,11 @@ class World:
                               ) -> CrosschainTransaction:
         """All-view tree rooted at the entry call."""
         mn = self.multichain_nodes[mn_name]
-        coord_id, coord_addr = coordination_ref
-        tx_id = tx_id or self.new_tx_id()
-        origin = entry.sidechain_id
-
-        def build_view(chain_id, to, data):
-            if chain_id not in mn.members or chain_id not in self.sidechains:
-                raise BuildError(MISSING_SIDECHAIN, chain_id.short())
-            state = self.sidechains[chain_id].state
-            children = []
-
-            def child_view_executor(c_chain, c_to, c_data):
-                try:
-                    node, result = build_view(c_chain, c_to, c_data)
-                except BuildError as exc:
-                    raise ExecutionError(exc.reason, str(exc)) from exc
-                children.append(node)
-                return result
-
-            try:
-                result = state.dry_run_view(to, data, sender=mn.account.address,
-                                            view_executor=child_view_executor)
-            except ExecutionError as exc:
-                raise BuildError(exc.reason, str(exc)) from exc
-            node = CrosschainTransaction(
-                tx_type=TxType.SUBORDINATE_VIEW,
-                coordination_blockchain_id=coord_id,
-                coordination_contract_address=coord_addr,
-                crosschain_tx_id=tx_id,
-                originating_sidechain_id=origin,
-                target_sidechain_id=chain_id,
-                nonce=0, to=to, data=data, subordinates=tuple(children))
-            return node, result
-
-        node, _ = build_view(entry.sidechain_id, entry.to, entry.data)
-        return node
+        builder = _TreeBuilder(self, mn, mn.account.address, coordination_ref,
+                               tx_id or self.new_tx_id(), entry.sidechain_id)
+        view, _ = builder.build(TxType.SUBORDINATE_VIEW, entry.sidechain_id,
+                                entry.to, entry.data)
+        return view
 
     # -- audit queries -----------------------------------------------------------------
 
@@ -1643,24 +1599,3 @@ class World:
             self.net.record(f"coord:{chain_id.short()}", "dump",
                             f"entries:{len(entries)}", entries)
 
-
-class ThreadSafeWorld:
-    """Serializing facade for embedding a world behind threads: every
-    public call takes one lock, preserving the single-writer event-loop
-    contract."""
-
-    def __init__(self, world: World):
-        import threading
-        self._world = world
-        self._lock = threading.RLock()
-
-    def __getattr__(self, name):
-        attr = getattr(self._world, name)
-        if not callable(attr):
-            return attr
-        lock = self._lock
-
-        def serialized(*args, **kwargs):
-            with lock:
-                return attr(*args, **kwargs)
-        return serialized

@@ -322,10 +322,14 @@ class _Runner:
 
     # -- actions ---------------------------------------------------------------
 
-    def _call_spec(self, spec: dict) -> CallSpec:
+    def _call_target(self, spec: dict) -> Tuple[SidechainId, bytes]:
         chain_id, address = self.contracts[spec["contract"]]
         if "sidechain" in spec:
             chain_id = parse_sidechain_id(spec["sidechain"])
+        return chain_id, address
+
+    def _call_spec(self, spec: dict) -> CallSpec:
+        chain_id, address = self._call_target(spec)
         args = [self._resolve_value(a) if not isinstance(a, bytes) else a
                 for a in spec.get("args", [])]
         data = encode_call(spec["function"], *args)
@@ -337,11 +341,29 @@ class _Runner:
             if len(self.coordination_refs) != 1:
                 raise ScenarioError("action must name its coordination chain")
             return next(iter(self.coordination_refs.values()))
-        return self.coordination_refs[parse_sidechain_id(spec).value]
+        ref = self.coordination_refs.get(parse_sidechain_id(spec).value)
+        if ref is None:
+            raise ScenarioError(f"coordination chain {spec!r} is not declared")
+        return ref
+
+    def _check_names(self, spec: dict) -> None:
+        """An action's contract, node and coordination chain must exist
+        before it runs."""
+        kind = spec["kind"]
+        contract = (spec.get("call") or {}).get("contract")
+        if contract not in self.contracts:
+            raise ScenarioError(f"{kind} action calls unknown contract {contract!r}")
+        if kind == "local_tx":
+            return
+        if spec.get("node") not in self.world.multichain_nodes:
+            raise ScenarioError(f"{kind} action names unknown node {spec.get('node')!r}")
+        self._coordination_ref(spec.get("coordination"))
 
     def _schedule_action(self, spec: dict) -> None:
         kind = spec.get("kind")
         at = int(spec.get("at", 0))
+        if kind in ("crosschain_tx", "crosschain_view", "local_tx"):
+            self._check_names(spec)
         if kind == "crosschain_tx":
             self.world.net.call_soon(lambda: self._run_crosschain_tx(spec), delay=at)
         elif kind == "crosschain_view":
@@ -356,20 +378,26 @@ class _Runner:
         else:
             raise ScenarioError(f"unknown action kind {kind!r}")
 
-    def _run_crosschain_tx(self, spec: dict, round_index: int = 0) -> None:
-        alias = spec.get("alias", f"tx{len(self.handles)}")
+    def _build_tx(self, spec: dict, ref: tuple):
+        """The signing account and the unsigned tree of a crosschain_tx
+        action, built against the current state."""
         account = (self._account(spec["account"]) if spec.get("account")
                    else self.world.multichain_nodes[spec["node"]].account)
+        tx = self.world.build_crosschain_tx(
+            spec["node"], self._call_spec(spec["call"]),
+            timeout_blocks=int(spec.get("timeout_blocks", 30)),
+            coordination_ref=ref, account=account)
+        return account, tx
+
+    def _run_crosschain_tx(self, spec: dict, round_index: int = 0) -> None:
+        alias = spec.get("alias", f"tx{len(self.handles)}")
         ref = self._coordination_ref(spec.get("coordination"))
         try:
-            tx = self.world.build_crosschain_tx(
-                spec["node"], self._call_spec(spec["call"]),
-                timeout_blocks=int(spec.get("timeout_blocks", 30)),
-                coordination_ref=ref, account=account)
+            account, tx = self._build_tx(spec, ref)
         except Exception as exc:
             handle = TxHandle(
                 crosschain_tx_id=self.world.new_tx_id(),
-                originating_sidechain_id=self._call_spec(spec["call"]).sidechain_id,
+                originating_sidechain_id=self._call_target(spec["call"])[0],
                 coordination_ref=ref, alias=alias,
                 outcome=("failed", f"build:{exc}"))
             self.handles.setdefault(alias, []).append(handle)
@@ -498,14 +526,9 @@ class _Runner:
         aliases = [spec["tx"]] if "tx" in spec else list(self.handles)
         for alias in aliases:
             for handle in self.handles.get(alias, []):
-                if not self.world.atomicity_ok(handle.crosschain_tx_id):
-                    return False, f"{alias}: mixed finalize decisions"
-                participants = self.world.participating_contracts(
-                    handle.crosschain_tx_id)
-                for chain_id, contract in participants:
-                    state = self.world.sidechains[chain_id].state
-                    if state.locked_by(contract) is not None:
-                        return False, f"{alias}: contract still locked at quiescence"
+                problem = _atomicity_problem(self.world, handle.crosschain_tx_id)
+                if problem is not None:
+                    return False, f"{alias}: {problem}"
         return True, "all-or-nothing commit held for " + ", ".join(aliases)
 
     def _check_coordination_state(self, spec) -> Tuple[bool, str]:
@@ -563,6 +586,17 @@ class _Runner:
                     f"(wanted {want_rounds}/{want_rounds})")
 
 
+def _atomicity_problem(world: World, tx_id) -> Optional[str]:
+    """None when every participating contract of the transaction
+    finalized the same way and none is still locked, else what broke."""
+    if not world.atomicity_ok(tx_id):
+        return "mixed finalize decisions"
+    for chain_id, contract in world.participating_contracts(tx_id):
+        if world.sidechains[chain_id].state.locked_by(contract) is not None:
+            return "contract still locked at quiescence"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Fault sweeps: one run per (protocol step, fault) cell
 # ---------------------------------------------------------------------------
@@ -605,13 +639,7 @@ def build_sweep_cells(scenario: Scenario, fault_kinds: List[str]) -> List[SweepC
         raise ScenarioError("sweep needs a crosschain_tx action")
     action = actions[0]
     mn = world.multichain_nodes[action["node"]]
-    account = (probe._account(action["account"]) if action.get("account")
-               else mn.account)
-    tx = world.build_crosschain_tx(
-        action["node"], probe._call_spec(action["call"]),
-        timeout_blocks=int(action.get("timeout_blocks", 30)),
-        coordination_ref=probe._coordination_ref(action.get("coordination")),
-        account=account)
+    _, tx = probe._build_tx(action, probe._coordination_ref(action.get("coordination")))
 
     orig_chain = tx.originating_sidechain_id
     sub_chains = sorted({n.target_sidechain_id.value for n in tx.walk()
@@ -695,18 +723,12 @@ def run_sweep(scenario: Scenario, fault_kinds: Optional[List[str]] = None,
         world = result.world
         got = "not_committed"
         atomic = True
-        locks_left = False
         for handles in result.handles.values():
             for handle in handles:
-                if not world.atomicity_ok(handle.crosschain_tx_id):
+                if _atomicity_problem(world, handle.crosschain_tx_id) is not None:
                     atomic = False
                 if world.committed_contracts(handle.crosschain_tx_id):
                     got = "committed"
-                for chain_id, contract in world.participating_contracts(
-                        handle.crosschain_tx_id):
-                    state = world.sidechains[chain_id].state
-                    if state.locked_by(contract) is not None:
-                        locks_left = True
-        ok = atomic and not locks_left and got == cell.expected
-        report.cells.append((cell, got, atomic and not locks_left, ok))
+        ok = atomic and got == cell.expected
+        report.cells.append((cell, got, atomic, ok))
     return report

@@ -151,14 +151,10 @@ class CallFrame:
         return [i for i, e in enumerate(self.expected) if not e.is_view]
 
 
-EMPTY_FRAME = CallFrame(expected=[])
-
-
 @dataclass
 class ExecutionOutcome:
     overlay: ProvisionalOverlay
     result: bytes = b""
-    emitted: List[ExpectedCall] = field(default_factory=list)
 
 
 def result_bytes(value) -> bytes:
@@ -174,10 +170,6 @@ def result_bytes(value) -> bytes:
             raise ExecutionError(HANDLER_REVERT, "negative result")
         return value.to_bytes((value.bit_length() + 7) // 8, "big") if value else b""
     raise ExecutionError(HANDLER_REVERT, f"unsupported result type {type(value)}")
-
-
-def result_int(data: bytes) -> int:
-    return int.from_bytes(data, "big")
 
 
 class _Mode(enum.Enum):
@@ -207,7 +199,6 @@ class HandlerHost:
         self._tx_recorder = tx_recorder
         self.caller = caller
         self.value = value
-        self.emitted: List[ExpectedCall] = []
 
     # -- introspection -------------------------------------------------------
 
@@ -270,11 +261,8 @@ class HandlerHost:
         if self._mode is _Mode.VIEW:
             raise ExecutionError(VIEW_WRITE, "subordinate transaction from a view")
         if self._mode is _Mode.BUILD:
-            call = ExpectedCall(is_view=False, target_sidechain_id=chain,
-                                to=to, data=data)
             if self._tx_recorder is not None:
-                call = self._tx_recorder(chain, to, data)
-            self.emitted.append(call)
+                self._tx_recorder(chain, to, data)
             return
         self._consume_expected(is_view=False, chain=chain, to=to, data=data)
 
@@ -286,10 +274,7 @@ class HandlerHost:
             if self._view_executor is None:
                 raise ExecutionError(HANDLER_REVERT,
                                      "no view executor for dry run")
-            result = self._view_executor(chain, to, data)
-            self.emitted.append(ExpectedCall(is_view=True, target_sidechain_id=chain,
-                                             to=to, data=data))
-            return result
+            return self._view_executor(chain, to, data)
         position = self._consume_expected(is_view=True, chain=chain, to=to, data=data)
         if position not in self._frame.view_results:
             raise ExecutionError(MISSING_VIEW_RESULT, f"position {position}")
@@ -423,8 +408,7 @@ class SidechainState:
         if value:
             host._move_value(sender, contract.address, value)
         result = self._dispatch(contract, data, host)
-        return ExecutionOutcome(overlay=overlay, result=result_bytes(result),
-                                emitted=host.emitted)
+        return ExecutionOutcome(overlay=overlay, result=result_bytes(result))
 
     def dry_run_view(self, to: bytes, data: bytes, sender: bytes,
                      view_executor: Callable) -> bytes:

@@ -213,6 +213,41 @@ def test_view_against_inactive_transaction_refused():
         "ok": False, "reason": eng.TX_NOT_ACTIVE}
 
 
+# --- per-sidechain admission ---------------------------------------------------------------
+
+_OUTSIDER = {AccountKey.from_label("someone-else").address}
+
+
+@pytest.mark.parametrize("chain,attr,value,reason,member_trace", [
+    (SC2, "view_allowed", _OUTSIDER, eng.PERMISSION_DENIED,
+     ["view:received", "permission-denied"]),
+    (SC3, "tx_allowed", _OUTSIDER, eng.SUBORDINATE_FAILED,
+     ["sub:received", "permission-denied", "sub:check_forwarded"]),
+    (SC2, "trusted_coordination", set(), eng.UNTRUSTED_COORDINATION,
+     ["view:received", "view:permission_checked", "untrusted-coordination"]),
+    (SC3, "trusted_coordination", set(), eng.SUBORDINATE_FAILED,
+     ["sub:received", "sub:permission_checked", "untrusted-coordination",
+      "sub:check_forwarded"]),
+], ids=["view-permission", "tx-permission", "view-trust", "sub-trust"])
+def test_admission_restricted_on_one_sidechain(chain, attr, value, reason,
+                                               member_trace):
+    """A restriction on one view or subordinate sidechain refuses the
+    transaction after it started: its member traces the checks it
+    passed and the refusal, and the transaction resolves to ignored."""
+    world, mn, ref, contracts = conditional_buy_world()
+    setattr(world.sidechains[chain], attr, value)
+    tx = build_purchase(world, mn, ref, contracts)
+    handle = world.submit_crosschain_tx("nodeA", tx)
+    drain(world)
+    assert handle.outcome == ("failed", reason)
+    assert world.coordination[ref].status_of(
+        tx.crosschain_tx_id, SC1) is EffectiveStatus.IGNORED
+    assert world.atomicity_ok(tx.crosschain_tx_id)
+    member = mn.members[chain].node_id
+    assert [r.reason for r in world.net.trace if r.node == member
+            and r.kind in ("step", "failure")] == member_trace
+
+
 # --- locking behaviour ----------------------------------------------------------------
 
 def test_lock_contention_between_transactions():
@@ -284,6 +319,39 @@ def test_early_check_rearms_until_past_timeout():
     assert status is EffectiveStatus.TIMED_OUT
     assert not world.committed_contracts(tx.crosschain_tx_id)
     assert world.atomicity_ok(tx.crosschain_tx_id)
+
+
+# --- transaction building ---------------------------------------------------------------
+
+def test_builder_allocates_nonces_in_emission_order():
+    """Two legs of one call to the same sidechain take consecutive
+    nonces in the order the call emits them, and the tree commits."""
+    world = World(seed=5)
+    coord = world.add_coordination_chain(COORD_ID)
+    ref = (COORD_ID, coord.contract_address)
+    for sc in (SC1, SC2):
+        world.add_sidechain(sc, validators=4, fault_tolerance=1)
+    mn = world.add_multichain_node("nodeA", [SC1, SC2])
+    state2 = world.sidechains[SC2].state
+    market_a = state2.deploy("market_stub", lockable=True)
+    market_b = state2.deploy("market_stub", lockable=True)
+    one = world.sidechains[SC1].state.deploy("contract_one", lockable=True, storage={
+        0: SC2.value, 1: int.from_bytes(market_a, "big"),
+        2: SC2.value, 3: int.from_bytes(market_b, "big")})
+    tx = world.build_crosschain_tx(
+        "nodeA", CallSpec(SC1, one, encode_call("foo")),
+        timeout_blocks=30, coordination_ref=ref)
+    assert tx.nonce == 0
+    assert [(leg.tx_type, leg.target_sidechain_id, leg.to, leg.data, leg.nonce)
+            for leg in tx.subordinates] == [
+        (TxType.SUBORDINATE_TX, SC2, market_a, encode_call("buy"), 0),
+        (TxType.SUBORDINATE_TX, SC2, market_b, encode_call("sell"), 1)]
+    handle = world.submit_crosschain_tx("nodeA", sign_tx(tx, mn.account))
+    drain(world)
+    assert handle.committed
+    assert state2.contract_at(market_a).storage[0] == 1
+    assert state2.contract_at(market_b).storage[1] == 1
+    assert state2.expected_nonce(mn.account.address) == 2
 
 
 # --- subordinate views ------------------------------------------------------------------
@@ -492,20 +560,6 @@ def test_start_refusal_policy():
     drain(world)
     assert handle.outcome == ("failed", eng.START_SIGNING_FAILED)
     assert not world.coordination[ref].has_entry(tx.crosschain_tx_id, SC1)
-
-
-def test_thread_safe_facade():
-    import threading
-    from xchain.engine import ThreadSafeWorld
-    world, mn, ref, contracts = conditional_buy_world()
-    safe = ThreadSafeWorld(world)
-    tx = build_purchase(world, mn, ref, contracts)
-    handle = safe.submit_crosschain_tx("nodeA", tx)
-    worker = threading.Thread(target=safe.run)
-    worker.start()
-    worker.join()
-    assert handle.committed
-    assert safe.atomicity_ok(tx.crosschain_tx_id)
 
 
 def test_state_dump_records():

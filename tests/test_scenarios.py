@@ -3,6 +3,7 @@
 from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from xchain.cli import main
@@ -48,6 +49,22 @@ def test_golden_trace_regression():
 def test_scenario_parse_error():
     with pytest.raises(ScenarioError):
         Scenario.from_dict({"actions": [{"kind": "unknown_kind"}]}).run()
+
+
+@pytest.mark.parametrize("changes", [
+    {"call": {"contract": "no_such_contract", "function": "condBuy", "args": [5]}},
+    {"node": "no_such_node"},
+    {"coordination": 9},
+], ids=["contract", "node", "coordination"])
+def test_unknown_action_names_are_scenario_errors(changes, tmp_path):
+    doc = Scenario.load(str(SCENARIO_DIR / "conditional_buy.scn")).doc
+    doc["actions"][0].update(changes)
+    with pytest.raises(ScenarioError):
+        Scenario.from_dict(doc).run()
+    bad = tmp_path / "bad.scn"
+    bad.write_text(yaml.safe_dump(doc))
+    result = CliRunner().invoke(main, ["run", str(bad)])
+    assert result.exit_code == 2, result.output
 
 
 def test_sweep_cells_cover_all_roles():
