@@ -49,9 +49,6 @@ class EffectiveStatus(enum.Enum):
     IGNORED = "ignored"
     TIMED_OUT = "timed_out"
 
-TERMINAL_STATUSES = (EffectiveStatus.COMMITTED, EffectiveStatus.IGNORED,
-                     EffectiveStatus.TIMED_OUT)
-
 
 def entry_key(crosschain_tx_id, originating_sidechain_id: SidechainId) -> bytes:
     """Registry key: digest of the transaction id and originating

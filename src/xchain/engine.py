@@ -3,8 +3,9 @@
 A World wires sidechains (each a validator set sharing an
 instantly-final ledger), coordination chains, and multichain nodes onto
 one deterministic event loop. Coordinator logic runs as generator
-flows that yield awaits (collect replies, wait for ready messages,
-sleep); validators answer signing and mining requests only after their
+flows that yield one of two awaits: Collect (replies to requests, or
+ready and error messages keyed by subordinate transaction hash) and
+Sleep. Validators answer signing and mining requests only after their
 own validation pipeline passes. Every labelled protocol step is traced
 with a machine-readable name, which is also the namespace fault
 triggers bind to.
@@ -27,7 +28,7 @@ equals the coordination contract's terminal status.
 """
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import wire
 from .accounts import AccountKey
@@ -153,16 +154,14 @@ class _Failed(Exception):
 
 @dataclass
 class Collect:
-    req_ids: Set[int]
-    deadline: int
-    enough: Optional[Callable] = None   # early-resume predicate over replies
+    """Resume when every key has a value, when ``enough`` holds for the
+    values collected so far, or at the deadline. Keys are request ids,
+    whose values are (sender, body) replies, or subordinate transaction
+    hashes, whose values are ready or error message bodies."""
 
-
-@dataclass
-class WaitKeys:
-    keys: Set[bytes]
+    keys: Collection
     deadline: int
-    fail_fast: bool = True
+    enough: Optional[Callable] = None
 
 
 @dataclass
@@ -279,8 +278,7 @@ class ValidatorNode:
         self.contexts: Dict[tuple, _Context] = {}
         self._flows: Dict[int, _FlowRec] = {}
         self._next_fid = 0
-        self._pending: Dict[int, _FlowRec] = {}
-        self._key_waiters: Dict[bytes, _FlowRec] = {}
+        self._waiting: Dict[object, _FlowRec] = {}  # Collect key -> flow
 
     # -- plumbing -----------------------------------------------------------
 
@@ -336,19 +334,11 @@ class ValidatorNode:
             self.net.set_timer(self.node_id, ("flow", rec.fid, rec.generation),
                                self.net.tick + awaited.ticks)
         elif isinstance(awaited, Collect):
-            if not awaited.req_ids:
-                self._advance(rec, {})
-                return
-            for rid in awaited.req_ids:
-                self._pending[rid] = rec
-            self.net.set_timer(self.node_id, ("flow", rec.fid, rec.generation),
-                               awaited.deadline)
-        elif isinstance(awaited, WaitKeys):
             if not awaited.keys:
                 self._advance(rec, {})
                 return
             for key in awaited.keys:
-                self._key_waiters[key] = rec
+                self._waiting[key] = rec
             self.net.set_timer(self.node_id, ("flow", rec.fid, rec.generation),
                                awaited.deadline)
         else:
@@ -356,37 +346,19 @@ class ValidatorNode:
 
     def _finish_await(self, rec: _FlowRec) -> None:
         if isinstance(rec.awaiting, Collect):
-            for rid in rec.awaiting.req_ids:
-                self._pending.pop(rid, None)
-        elif isinstance(rec.awaiting, WaitKeys):
             for key in rec.awaiting.keys:
-                if self._key_waiters.get(key) is rec:
-                    self._key_waiters.pop(key)
-        collected = rec.collected
-        self._advance(rec, collected)
+                if self._waiting.get(key) is rec:
+                    self._waiting.pop(key)
+        self._advance(rec, rec.collected)
 
-    def _on_reply(self, msg: Message) -> None:
-        rec = self._pending.get(msg.reply_to)
-        if rec is None or not isinstance(rec.awaiting, Collect):
+    def _collect(self, key, value) -> None:
+        rec = self._waiting.get(key)
+        if rec is None:
             return
-        rec.collected[msg.reply_to] = (msg.sender, msg.body)
+        rec.collected[key] = value
         aw = rec.awaiting
-        done = len(rec.collected) == len(aw.req_ids)
-        if not done and aw.enough is not None and aw.enough(rec.collected):
-            done = True
-        if done:
-            self._finish_await(rec)
-
-    def _on_keyed(self, key: bytes, body: dict) -> None:
-        rec = self._key_waiters.get(key)
-        if rec is None or not isinstance(rec.awaiting, WaitKeys):
-            return
-        rec.collected[key] = body
-        aw = rec.awaiting
-        done = len(rec.collected) == len(aw.keys)
-        if not done and aw.fail_fast and not body.get("ok", False):
-            done = True
-        if done:
+        if len(rec.collected) == len(aw.keys) or (
+                aw.enough is not None and aw.enough(rec.collected)):
             self._finish_await(rec)
 
     def on_timer(self, tag) -> None:
@@ -401,7 +373,7 @@ class ValidatorNode:
 
     def on_message(self, msg: Message) -> None:
         if msg.reply_to is not None:
-            self._on_reply(msg)
+            self._collect(msg.reply_to, (msg.sender, msg.body))
             return
         mtype = msg.mtype
         if mtype == "sign_request":
@@ -414,9 +386,9 @@ class ValidatorNode:
             self.start_flow(self._view_flow(msg))
         elif mtype == "subtx_ready":
             ready: ThresholdMessage = msg.body["message"]
-            self._on_keyed(ready.transaction_hash, msg.body)
+            self._collect(ready.transaction_hash, msg.body)
         elif mtype == "subtx_error":
-            self._on_keyed(msg.body["tx_hash"], msg.body)
+            self._collect(msg.body["tx_hash"], msg.body)
         elif mtype == "check_coordination":
             self._on_check(msg)
 
@@ -766,7 +738,7 @@ class ValidatorNode:
             return count
 
         replies = yield Collect(
-            req_ids=req_ids,
+            keys=req_ids,
             deadline=self.net.tick + self.world.config.signing_round_timeout,
             enough=lambda rs: _valid(rs) >= config.m)
         for _, body in replies.values():
@@ -791,7 +763,7 @@ class ValidatorNode:
             {"op": op, "message": message, "signature": signature},
             latency=self.world.config.cross_latency)
         replies = yield Collect(
-            req_ids={rid},
+            keys={rid},
             deadline=self.net.tick + 4 * self.world.config.cross_latency
             + self.world.config.signing_round_timeout)
         if rid not in replies:
@@ -818,7 +790,7 @@ class ValidatorNode:
                                {"tx": child, "multichain": mn.name},
                                latency=self.world.config.cross_latency)
             rid_to_pos[rid] = pos
-        replies = yield Collect(req_ids=set(rid_to_pos), deadline=deadline)
+        replies = yield Collect(keys=set(rid_to_pos), deadline=deadline)
         results = {}
         for rid, pos in rid_to_pos.items():
             if rid not in replies:
@@ -853,7 +825,7 @@ class ValidatorNode:
             return accepts + sum(1 for _, b in replies.values() if b.get("ok"))
 
         replies = yield Collect(
-            req_ids=req_ids,
+            keys=req_ids,
             deadline=self.net.tick + self.world.config.signing_round_timeout,
             enough=lambda rs: _accepted(rs) >= config.m)
         total = _accepted(replies)
@@ -957,16 +929,19 @@ class ValidatorNode:
                 self.send(target.node_id, "process_subtx",
                           {"tx": child, "multichain": mn.name},
                           latency=cfg.cross_latency)
-                leg_hashes = {wire.tx_hash(node) for node in child.walk()
-                              if node.tx_type is TxType.SUBORDINATE_TX}
-                collected = yield WaitKeys(keys=leg_hashes, deadline=deadline)
+                leg_hashes = [wire.tx_hash(node) for node in child.walk()
+                              if node.tx_type is TxType.SUBORDINATE_TX]
+                collected = yield Collect(
+                    keys=leg_hashes, deadline=deadline,
+                    enough=lambda got: any(not b.get("ok") for b in got.values()))
+                # the first error in arrival order decides the reason
+                errors = [b for b in collected.values() if not b.get("ok")]
+                if errors:
+                    raise _Failed(SUBORDINATE_FAILED, errors[0].get("reason", ""))
                 for h in leg_hashes:
                     body = collected.get(h)
                     if body is None:
                         raise _Failed(READY_TIMEOUT)
-                    if not body.get("ok"):
-                        raise _Failed(SUBORDINATE_FAILED,
-                                      body.get("reason", ""))
                     readies[h] = (body["message"], body["signature"])
                     if not self._signed_by(chain, *readies[h]):
                         raise _Failed(READY_BAD_SIGNATURE)
@@ -999,15 +974,10 @@ class ValidatorNode:
             self._broadcast_check(mn, tx)
             self.step("orig:check_broadcast")
             handle.outcome = ("committed",)
-            self.world.audit("outcome", tx=tx.crosschain_tx_id,
-                             outcome="committed", alias=handle.alias)
         except _Failed as failure:
             self.net.record(self.node_id, "failure", failure.reason,
                             failure.detail)
             handle.outcome = ("failed", failure.reason)
-            self.world.audit("outcome", tx=tx.crosschain_tx_id,
-                             outcome="failed", reason=failure.reason,
-                             alias=handle.alias)
             if started:
                 yield from self._ignore_flow(mn, tx)
 
@@ -1197,6 +1167,10 @@ class Sidechain:
             validator.key_share = share
 
     def validator(self, index: int) -> ValidatorNode:
+        """The validator at 1-based index; ValueError outside 1..n."""
+        if not 1 <= index <= len(self.validators):
+            raise ValueError(
+                f"validator index {index} outside 1..{len(self.validators)}")
         return self.validators[index - 1]
 
 
@@ -1252,35 +1226,27 @@ class _TreeBuilder:
 
     def build(self, tx_type: TxType, chain_id: SidechainId, to: bytes,
               data: bytes, value: int = 0):
-        """(node, result) of one call; result is the view result bytes
-        for a view node and None for a transaction node."""
+        """(node, result bytes) of one call."""
         if chain_id not in self.mn.members or chain_id not in self.world.sidechains:
             raise BuildError(MISSING_SIDECHAIN, chain_id.short())
         state = self.world.sidechains[chain_id].state
         children: List[CrosschainTransaction] = []
 
-        def executor(child_type: TxType) -> Callable:
-            def execute(c_chain, c_to, c_data):
-                try:
-                    node, result = self.build(child_type, c_chain, c_to, c_data)
-                except BuildError as exc:
-                    # surface the child's reason without re-wrapping
-                    raise ExecutionError(exc.reason, str(exc)) from exc
-                children.append(node)
-                return result
-            return execute
+        def build_child(is_view: bool, c_chain: SidechainId, c_to: bytes,
+                        c_data: bytes) -> bytes:
+            child_type = TxType.SUBORDINATE_VIEW if is_view else TxType.SUBORDINATE_TX
+            try:
+                node, result = self.build(child_type, c_chain, c_to, c_data)
+            except BuildError as exc:
+                # surface the child's reason without re-wrapping
+                raise ExecutionError(exc.reason, str(exc)) from exc
+            children.append(node)
+            return result
 
         is_view = tx_type is TxType.SUBORDINATE_VIEW
-        result = None
         try:
-            if is_view:
-                result = state.dry_run_view(
-                    to, data, sender=self.sender,
-                    view_executor=executor(TxType.SUBORDINATE_VIEW))
-            else:
-                state.dry_run(to, data, sender=self.sender, value=value,
-                              view_executor=executor(TxType.SUBORDINATE_VIEW),
-                              tx_recorder=executor(TxType.SUBORDINATE_TX))
+            outcome = state.dry_run(to, data, self.sender, value, build_child,
+                                    view=is_view)
         except ExecutionError as exc:
             raise BuildError(exc.reason, str(exc)) from exc
         is_root = tx_type is TxType.ORIGINATING
@@ -1296,7 +1262,7 @@ class _TreeBuilder:
             nonce=0 if is_view else self._nonce(chain_id, state),
             to=to, data=data, value=value,
             subordinates=tuple(children))
-        return node, result
+        return node, outcome.result
 
 
 class World:

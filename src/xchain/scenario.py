@@ -197,7 +197,7 @@ class _Runner:
 
         for spec in doc.get("multichain_nodes", []):
             members = [parse_sidechain_id(m) for m in spec["members"]]
-            indices = {parse_sidechain_id(k): int(v)
+            indices = {parse_sidechain_id(k): self._validator(k, v).index
                        for k, v in (spec.get("member_indices") or {}).items()}
             account = self._account(spec["account"]) if spec.get("account") else None
             self.world.add_multichain_node(
@@ -280,20 +280,30 @@ class _Runner:
             return bytes.fromhex(raw.removeprefix("0x"))
         raise ScenarioError(f"cannot resolve address {raw!r}")
 
+    def _validator(self, chain_raw, index):
+        """The validator at a 1-based index of a declared sidechain."""
+        sidechain = self.world.sidechains.get(parse_sidechain_id(chain_raw))
+        if sidechain is None:
+            raise ScenarioError(f"sidechain {chain_raw!r} is not declared")
+        try:
+            return sidechain.validator(int(index))
+        except ValueError as exc:
+            raise ScenarioError(f"sidechain {chain_raw!r}: {exc}") from None
+
     def _node_id(self, raw) -> str:
         if isinstance(raw, str):
             return raw
         if "validator" in raw:
             spec = raw["validator"]
-            chain_id = parse_sidechain_id(spec["sidechain"])
-            return self.world.sidechains[chain_id].validator(int(spec["index"])).node_id
+            return self._validator(spec["sidechain"], spec["index"]).node_id
         if "multichain" in raw:
-            mn = self.world.multichain_nodes[raw["multichain"]]
-            chain_id = parse_sidechain_id(raw["sidechain"])
-            return mn.members[chain_id].node_id
+            mn = self.world.multichain_nodes.get(raw["multichain"])
+            member = mn and mn.members.get(parse_sidechain_id(raw["sidechain"]))
+            if member is None:
+                raise ScenarioError(f"node {raw!r} names no multichain member")
+            return member.node_id
         if "coordination" in raw:
-            chain_id = parse_sidechain_id(raw["coordination"])
-            ref = self.coordination_refs[chain_id.value]
+            ref = self._coordination_ref(raw["coordination"])
             return self.world._coordination_nodes[ref]
         raise ScenarioError(f"cannot resolve node {raw!r}")
 

@@ -172,31 +172,32 @@ def result_bytes(value) -> bytes:
     raise ExecutionError(HANDLER_REVERT, f"unsupported result type {type(value)}")
 
 
-class _Mode(enum.Enum):
-    EXECUTE = "execute"   # match emitted calls against the signed frame
-    BUILD = "build"       # dry run: record emitted calls
-    VIEW = "view"         # read only
-
-
 class HandlerHost:
     """The interface a native handler sees. Storage access is scoped to
     the executing contract; balance moves and writes land in the
-    overlay, never directly in base state."""
+    overlay, never directly in base state.
+
+    Two settings shape a call. A host that is not ``writable`` runs a
+    view: storage writes, value transfers and subordinate transactions
+    raise view-write-forbidden. A host with ``build`` runs a dry run:
+    every crosschain call goes to ``build(is_view, chain, to, data)``,
+    which returns the call's result bytes. A host without ``build``
+    matches each crosschain call against the next entry of the signed
+    frame. The four combinations are execution, the dry run of a
+    transaction, the dry run of a view and a view read against its
+    frame."""
 
     def __init__(self, state: "SidechainState", contract: Contract,
-                 overlay: ProvisionalOverlay, frame: CallFrame, mode: _Mode,
-                 caller: bytes, value: int,
-                 base_overlay: Optional[ProvisionalOverlay] = None,
-                 view_executor: Optional[Callable] = None,
-                 tx_recorder: Optional[Callable] = None):
+                 overlay: ProvisionalOverlay, frame: CallFrame, writable: bool,
+                 build: Optional[Callable], caller: bytes, value: int,
+                 base_overlay: Optional[ProvisionalOverlay] = None):
         self._state = state
         self._contract = contract
         self._overlay = overlay
         self._frame = frame
-        self._mode = mode
+        self._writable = writable
+        self._build = build
         self._base_overlay = base_overlay  # pre-existing lock overlay for reads
-        self._view_executor = view_executor
-        self._tx_recorder = tx_recorder
         self.caller = caller
         self.value = value
 
@@ -251,37 +252,26 @@ class HandlerHost:
         self._overlay.bump_balance(dst, amount)
 
     def _require_writable(self, what: str) -> None:
-        if self._mode is _Mode.VIEW:
+        if not self._writable:
             raise ExecutionError(VIEW_WRITE, what)
 
     # -- crosschain calls ------------------------------------------------------
 
     def emit_subordinate_tx(self, chain: SidechainId, to: bytes, data: bytes) -> None:
         """A state-updating call to a contract on another sidechain."""
-        if self._mode is _Mode.VIEW:
-            raise ExecutionError(VIEW_WRITE, "subordinate transaction from a view")
-        if self._mode is _Mode.BUILD:
-            if self._tx_recorder is not None:
-                self._tx_recorder(chain, to, data)
-            return
-        self._consume_expected(is_view=False, chain=chain, to=to, data=data)
+        self._require_writable("subordinate transaction from a view")
+        self._crosschain_call(False, chain, to, data)
 
     def call_subordinate_view(self, chain: SidechainId, to: bytes,
                               data: bytes) -> bytes:
         """A read-only call to a contract on another sidechain; returns
         the (signed, pre-collected) result bytes."""
-        if self._mode is _Mode.BUILD:
-            if self._view_executor is None:
-                raise ExecutionError(HANDLER_REVERT,
-                                     "no view executor for dry run")
-            return self._view_executor(chain, to, data)
-        position = self._consume_expected(is_view=True, chain=chain, to=to, data=data)
-        if position not in self._frame.view_results:
-            raise ExecutionError(MISSING_VIEW_RESULT, f"position {position}")
-        return self._frame.view_results[position]
+        return self._crosschain_call(True, chain, to, data)
 
-    def _consume_expected(self, is_view: bool, chain: SidechainId, to: bytes,
-                          data: bytes) -> int:
+    def _crosschain_call(self, is_view: bool, chain: SidechainId, to: bytes,
+                         data: bytes) -> bytes:
+        if self._build is not None:
+            return self._build(is_view, chain, to, data)
         frame = self._frame
         if frame.cursor >= len(frame.expected):
             raise ExecutionError(
@@ -295,7 +285,11 @@ class HandlerHost:
                 f"{frame.cursor}")
         position = frame.cursor
         frame.cursor += 1
-        return position
+        if not is_view:
+            return b""
+        if position not in frame.view_results:
+            raise ExecutionError(MISSING_VIEW_RESULT, f"position {position}")
+        return frame.view_results[position]
 
 
 class SidechainState:
@@ -342,7 +336,19 @@ class SidechainState:
     def expected_nonce(self, account: bytes) -> int:
         return self.nonces.get(account, 0)
 
-    def _dispatch(self, contract: Contract, data: bytes, host: HandlerHost):
+    def _run(self, contract: Contract, data: bytes, caller: bytes, value: int,
+             frame: CallFrame, writable: bool = True,
+             build: Optional[Callable] = None,
+             base_overlay: Optional[ProvisionalOverlay] = None
+             ) -> ExecutionOutcome:
+        """Run one call of contract's handler on a fresh overlay: move
+        the call's value from caller to the contract, dispatch data to
+        its function, and require every call in frame to be emitted."""
+        overlay = ProvisionalOverlay()
+        host = HandlerHost(self, contract, overlay, frame, writable, build,
+                           caller=caller, value=value, base_overlay=base_overlay)
+        if value:
+            host._move_value(caller, contract.address, value)
         table = self.handlers.get(contract.handler_id)
         if table is None:
             raise ExecutionError(UNKNOWN_HANDLER, contract.handler_id)
@@ -355,11 +361,16 @@ class SidechainState:
             raise ExecutionError(UNKNOWN_SELECTOR,
                                  f"{contract.handler_id}/{sel.hex()}")
         try:
-            return fn(host, args)
+            result = fn(host, args)
         except ExecutionError:
             raise
         except Exception as exc:
             raise ExecutionError(HANDLER_REVERT, str(exc)) from exc
+        if frame.cursor != len(frame.expected):
+            raise ExecutionError(
+                CALL_MISMATCH,
+                f"only {frame.cursor} of {len(frame.expected)} signed calls emitted")
+        return ExecutionOutcome(overlay=overlay, result=result_bytes(result))
 
     # -- crosschain execution ----------------------------------------------------
 
@@ -384,45 +395,15 @@ class SidechainState:
             raise ExecutionError(
                 NONCE_MISMATCH,
                 f"got {tx.nonce}, expected {self.expected_nonce(sender)}")
-        overlay = ProvisionalOverlay()
-        host = HandlerHost(self, contract, overlay, frame, _Mode.EXECUTE,
-                           caller=sender, value=tx.value)
-        if tx.value:
-            host._move_value(sender, contract.address, tx.value)
-        result = self._dispatch(contract, tx.data, host)
-        if frame.cursor != len(frame.expected):
-            raise ExecutionError(
-                CALL_MISMATCH,
-                f"only {frame.cursor} of {len(frame.expected)} signed calls emitted")
-        return ExecutionOutcome(overlay=overlay, result=result_bytes(result))
+        return self._run(contract, tx.data, sender, tx.value, frame)
 
     def dry_run(self, to: bytes, data: bytes, sender: bytes, value: int,
-                view_executor: Callable, tx_recorder: Callable) -> ExecutionOutcome:
-        """Build-mode execution: records emitted subordinate calls in
-        order with concrete parameters instead of matching them."""
-        contract = self.contract_at(to)
-        overlay = ProvisionalOverlay()
-        host = HandlerHost(self, contract, overlay, CallFrame(expected=[]),
-                           _Mode.BUILD, caller=sender, value=value,
-                           view_executor=view_executor, tx_recorder=tx_recorder)
-        if value:
-            host._move_value(sender, contract.address, value)
-        result = self._dispatch(contract, data, host)
-        return ExecutionOutcome(overlay=overlay, result=result_bytes(result))
-
-    def dry_run_view(self, to: bytes, data: bytes, sender: bytes,
-                     view_executor: Callable) -> bytes:
-        """Build-mode evaluation of a view call; nested views are
-        resolved live through view_executor, writes are an error."""
-        contract = self.contract_at(to)
-        overlay = ProvisionalOverlay()
-        host = HandlerHost(self, contract, overlay, CallFrame(expected=[]),
-                           _Mode.BUILD, caller=sender, value=0,
-                           view_executor=view_executor, tx_recorder=None)
-        result = self._dispatch(contract, data, host)
-        if overlay.storage_delta or overlay.balance_deltas:
-            raise ExecutionError(VIEW_WRITE, "view handler attempted writes")
-        return result_bytes(result)
+                build: Callable, view: bool = False) -> ExecutionOutcome:
+        """Build-mode execution: every crosschain call the handler makes
+        goes to build(is_view, chain, to, data) with concrete parameters
+        instead of being matched. A view (view=True) may not write."""
+        return self._run(self.contract_at(to), data, sender, value,
+                         CallFrame(expected=[]), writable=not view, build=build)
 
     # -- ordinary same-chain transactions -------------------------------------
 
@@ -436,15 +417,10 @@ class SidechainState:
                                  f"got {nonce}, expected {self.expected_nonce(sender)}")
         if (contract.lock.status is LockStatus.LOCKED):
             raise ExecutionError(LOCK_CONTENTION, to.hex()[:8])
-        overlay = ProvisionalOverlay()
-        host = HandlerHost(self, contract, overlay, CallFrame(expected=[]),
-                           _Mode.EXECUTE, caller=sender, value=value)
-        if value:
-            host._move_value(sender, contract.address, value)
-        result = self._dispatch(contract, data, host)
+        outcome = self._run(contract, data, sender, value, CallFrame(expected=[]))
         self.nonces[sender] = nonce + 1
-        self._apply_overlay(contract, overlay)
-        return result_bytes(result)
+        self._apply_overlay(contract, outcome.overlay)
+        return outcome.result
 
     # -- views --------------------------------------------------------------
 
@@ -468,16 +444,8 @@ class SidechainState:
             elif policy is LockedViewPolicy.ASSUME_COMMITTED:
                 base_overlay = contract.lock.provisional
             # ASSUME_IGNORED reads base state unchanged
-        overlay = ProvisionalOverlay()
-        host = HandlerHost(self, contract, overlay, frame or CallFrame(expected=[]),
-                           _Mode.VIEW, caller=caller, value=0,
-                           base_overlay=base_overlay)
-        result = self._dispatch(contract, data, host)
-        if frame is not None and frame.cursor != len(frame.expected):
-            raise ExecutionError(
-                CALL_MISMATCH,
-                f"only {frame.cursor} of {len(frame.expected)} signed calls emitted")
-        return result_bytes(result)
+        return self._run(contract, data, caller, 0, frame or CallFrame(expected=[]),
+                         writable=False, base_overlay=base_overlay).result
 
     # -- locking (contract lock states) ----------------------------------------
 

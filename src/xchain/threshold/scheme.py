@@ -115,9 +115,6 @@ class _ModPBackend(_Backend):
     def commit_bytes(self, c) -> bytes:
         return int(c).to_bytes(32, "big")
 
-    def sig_bytes(self, s) -> bytes:
-        return int(s).to_bytes(32, "big")
-
 
 class _Bn254Backend(_Backend):
     name = "bn254"
@@ -157,9 +154,6 @@ class _Bn254Backend(_Backend):
 
     def commit_bytes(self, c) -> bytes:
         return bn254.g2_to_bytes(c)
-
-    def sig_bytes(self, s) -> bytes:
-        return bn254.g1_to_bytes(s)
 
 
 class ThresholdScheme:
@@ -295,9 +289,6 @@ class ThresholdScheme:
 
     def public_key_bytes(self, public_key) -> bytes:
         return self.backend.commit_bytes(public_key)
-
-    def signature_bytes(self, signature: ThresholdSignature) -> bytes:
-        return self.backend.sig_bytes(signature.point)
 
 
 _SCHEMES = {

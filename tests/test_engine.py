@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +15,12 @@ from xchain.engine import (
     expected_crash_outcome,
 )
 from xchain import engine as eng
-from xchain.sidechain import LockHolder, LockedViewPolicy, ProvisionalOverlay
+from xchain.sidechain import (
+    VIEW_WRITE,
+    LockHolder,
+    LockedViewPolicy,
+    ProvisionalOverlay,
+)
 from xchain.simnet import FaultSpec, Message
 from xchain.wire import (
     CrosschainTxId,
@@ -24,6 +33,7 @@ from xchain.accounts import AccountKey
 
 from world_fixtures import (
     COORD_ID, SC1, SC2, SC3, build_purchase, conditional_buy_world,
+    nested_leg_world,
 )
 
 
@@ -354,6 +364,50 @@ def test_builder_allocates_nonces_in_emission_order():
     assert state2.expected_nonce(mn.account.address) == 2
 
 
+def test_nested_leg_commits():
+    """One leg of two nested subordinate transactions: the originating
+    coordinator waits for both readies before it commits."""
+    world, handle, contracts = nested_leg_world()
+    drain(world)
+    assert handle.committed
+    assert world.sidechains[SC3].state.contract_at(contracts["cell"]).storage[1] == 5
+    assert len(world.committed_contracts(handle.crosschain_tx_id)) == 3
+    assert world.atomicity_ok(handle.crosschain_tx_id)
+
+
+def test_nested_leg_refusal_fails_on_arrival():
+    """SC2 refuses the leg's first transaction, so the child on SC3 never
+    runs: the originating coordinator fails as the error arrives (tick
+    16), not at the global deadline (tick 310), and names the refusal
+    rather than the ready that never comes."""
+    world, handle, _ = nested_leg_world(middle_tx_allowed=set())
+    drain(world)
+    assert handle.failure_reason == eng.SUBORDINATE_FAILED
+    failures = [(r.tick, r.node, r.reason) for r in world.net.trace
+                if r.kind == "failure"]
+    assert failures == [(13, "sc22:v1", eng.PERMISSION_DENIED),
+                        (16, "sc11:v1", eng.SUBORDINATE_FAILED)]
+    assert not world.committed_contracts(handle.crosschain_tx_id)
+    assert world.atomicity_ok(handle.crosschain_tx_id)
+
+
+def test_nested_leg_trace_independent_of_hash_seed():
+    tests = Path(__file__).parent
+    code = ("import sys\n"
+            "from world_fixtures import nested_leg_world\n"
+            "world, _, _ = nested_leg_world(middle_tx_allowed=set())\n"
+            "world.run()\n"
+            "sys.stdout.write(world.net.trace_lines())\n")
+    traces = []
+    for hash_seed in ("0", "9"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+        traces.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120).stdout)
+    assert traces[0] and traces[0] == traces[1]
+
+
 # --- subordinate views ------------------------------------------------------------------
 
 def _chained_world(depth=3):
@@ -410,6 +464,26 @@ def test_crosschain_view_locked_policies():
     with pytest.raises(Exception):
         world.submit_crosschain_view(
             "nodeA", tree, policy=LockedViewPolicy.FAIL_IF_LOCKED)
+
+
+@pytest.mark.parametrize("handler_id,function", [("proxy", "relay"), ("cell", "put")])
+def test_view_build_refuses_writes(handler_id, function):
+    """A view may neither write its own storage nor emit a subordinate
+    transaction, so building it fails."""
+    world = World(seed=4)
+    coord = world.add_coordination_chain(COORD_ID)
+    ref = (COORD_ID, coord.contract_address)
+    for sc in (SC1, SC2):
+        world.add_sidechain(sc, validators=4, fault_tolerance=1)
+    world.add_multichain_node("nodeA", [SC1, SC2])
+    cell = world.sidechains[SC2].state.deploy("cell", lockable=True)
+    entry = world.sidechains[SC1].state.deploy(handler_id, lockable=True, storage={
+        0: SC2.value, 1: int.from_bytes(cell, "big")})
+    with pytest.raises(eng.BuildError) as err:
+        world.build_crosschain_view(
+            "nodeA", CallSpec(SC1, entry, encode_call(function, 1, 5)),
+            coordination_ref=ref)
+    assert err.value.reason == VIEW_WRITE
 
 
 def test_crosschain_view_rejects_tx_nodes():

@@ -51,14 +51,39 @@ def test_scenario_parse_error():
         Scenario.from_dict({"actions": [{"kind": "unknown_kind"}]}).run()
 
 
-@pytest.mark.parametrize("changes", [
-    {"call": {"contract": "no_such_contract", "function": "condBuy", "args": [5]}},
-    {"node": "no_such_node"},
-    {"coordination": 9},
-], ids=["contract", "node", "coordination"])
-def test_unknown_action_names_are_scenario_errors(changes, tmp_path):
+def _action(**changes):
+    return lambda doc: doc["actions"][0].update(changes)
+
+
+def _crash(node):
+    return lambda doc: doc.setdefault("faults", []).append(
+        {"kind": "crash_node", "node": node, "at_tick": 8})
+
+
+def _validator(sidechain, index):
+    return {"validator": {"sidechain": sidechain, "index": index}}
+
+
+@pytest.mark.parametrize("edit", [
+    _action(call={"contract": "no_such_contract", "function": "condBuy", "args": [5]}),
+    _action(node="no_such_node"),
+    _action(coordination=9),
+    _crash({"multichain": "nope", "sidechain": "private:0x11"}),
+    _crash(_validator("private:0x99", 1)),
+    _crash({"coordination": 7}),
+    _crash(_validator("private:0x11", 9)),
+    _crash(_validator("private:0x11", 0)),
+    lambda doc: doc["multichain_nodes"][0].update(
+        member_indices={"private:0x11": 0}),
+], ids=["contract", "node", "coordination", "fault-multichain",
+        "fault-validator-sidechain", "fault-coordination",
+        "fault-validator-index-9", "fault-validator-index-0",
+        "member-index-0"])
+def test_unknown_action_names_are_scenario_errors(edit, tmp_path):
+    """Every name an action, a fault or a multichain node uses must be
+    declared; a validator index runs from 1 to the sidechain's n."""
     doc = Scenario.load(str(SCENARIO_DIR / "conditional_buy.scn")).doc
-    doc["actions"][0].update(changes)
+    edit(doc)
     with pytest.raises(ScenarioError):
         Scenario.from_dict(doc).run()
     bad = tmp_path / "bad.scn"
