@@ -3,7 +3,10 @@ and keccak-derived 20-byte addresses.
 
 secp256k1 is y^2 = x^3 + 7, an a = 0 curve: its points are added and
 multiplied by the group law in ``xchain.ec`` that BN254 G1 and G2 use
-too (Jacobian double-and-add, one inversion per scalar multiplication).
+too. Every multiple of the generator G (public keys, signing nonces)
+reads G's comb table, which the first such multiple builds; recovery
+computes u1*G + u2*R in one joint pass over that table and a wNAF of
+u2.
 
 The nonce k is derived deterministically by hashing (simulation grade,
 not RFC 6979 and not constant time). V is 27/28 and is never folded
@@ -24,6 +27,7 @@ _GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 _G = (_GX, _GY)
 _CURVE = ec.prime_curve(_P, 7, _N)
+_G_BASE = ec.FixedBase(_CURVE, _G)
 
 
 class SignatureError(ValueError):
@@ -33,7 +37,7 @@ class SignatureError(ValueError):
 def public_key(private_key: int) -> Tuple[int, int]:
     if not 1 <= private_key < _N:
         raise SignatureError("private key out of range")
-    return ec.mul(_CURVE, _G, private_key)
+    return ec.fixed_mul(_G_BASE, private_key)
 
 
 def address_of(private_key: int) -> bytes:
@@ -55,7 +59,7 @@ def sign_digest(digest: bytes, private_key: int) -> Tuple[int, int, int]:
         counter += 1
         if k == 0:
             continue
-        rx, ry = ec.mul(_CURVE, _G, k)
+        rx, ry = ec.fixed_mul(_G_BASE, k)
         r = rx % _N
         if r == 0 or rx >= _N:  # rx >= _N would need recovery id 2/3; retry
             continue
@@ -88,8 +92,7 @@ def recover_digest(digest: bytes, v: int, r: int, s: int) -> bytes:
     if y & 1 != v - 27:
         y = _P - y
     r_inv = pow(r, -1, _N)
-    point = ec.add(_CURVE, ec.mul(_CURVE, (r, y), s * r_inv),
-                   ec.mul(_CURVE, _G, -z * r_inv))
+    point = ec.joint_mul(_G_BASE, -z * r_inv, (r, y), s * r_inv)
     if point is None:
         raise SignatureError("signature recovers to the point at infinity")
     x, py = point

@@ -196,7 +196,7 @@ class _Runner:
                     account.address, int(amount))
 
         for spec in doc.get("multichain_nodes", []):
-            members = [parse_sidechain_id(m) for m in spec["members"]]
+            members = [self._sidechain(m).sidechain_id for m in spec["members"]]
             indices = {parse_sidechain_id(k): self._validator(k, v).index
                        for k, v in (spec.get("member_indices") or {}).items()}
             account = self._account(spec["account"]) if spec.get("account") else None
@@ -209,8 +209,11 @@ class _Runner:
         # can reference each other's addresses
         deploy_specs = doc.get("contracts", [])
         for spec in deploy_specs:
-            chain_id = parse_sidechain_id(spec["sidechain"])
-            state = self.world.sidechains[chain_id].state
+            sidechain = self._sidechain(spec["sidechain"])
+            chain_id, state = sidechain.sidechain_id, sidechain.state
+            if spec["handler"] not in state.handlers:
+                raise ScenarioError(
+                    f"contract {spec['name']!r} names unknown handler {spec['handler']!r}")
             address = state.deploy(spec["handler"],
                                    lockable=bool(spec.get("lockable", False)),
                                    balance=int(spec.get("balance", 0)))
@@ -280,11 +283,15 @@ class _Runner:
             return bytes.fromhex(raw.removeprefix("0x"))
         raise ScenarioError(f"cannot resolve address {raw!r}")
 
-    def _validator(self, chain_raw, index):
-        """The validator at a 1-based index of a declared sidechain."""
+    def _sidechain(self, chain_raw):
         sidechain = self.world.sidechains.get(parse_sidechain_id(chain_raw))
         if sidechain is None:
             raise ScenarioError(f"sidechain {chain_raw!r} is not declared")
+        return sidechain
+
+    def _validator(self, chain_raw, index):
+        """The validator at a 1-based index of a declared sidechain."""
+        sidechain = self._sidechain(chain_raw)
         try:
             return sidechain.validator(int(index))
         except ValueError as exc:

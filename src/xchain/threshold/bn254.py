@@ -7,7 +7,8 @@ Everything is derived from the single BN parameter ``U``:
 
 G1 is y^2 = x^3 + 3 over Fp with generator (1, 2). G2 lives on the
 sextic twist y^2 = x^3 + 3/xi over Fp2 with xi = 9 + i. G1 and G2 share
-the a = 0 group law of ``xchain.ec`` with secp256k1.
+the a = 0 group law of ``xchain.ec`` with secp256k1; multiples of the
+generator G2 (key commitments) read its comb table there.
 
 Fp12 is stored flat as six Fp2 coefficients over w with w^6 = xi, and
 multiplied over the tower Fp6 = Fp2[v]/(v^3 - xi), Fp12 = Fp6[w]/(w^2 - v):
@@ -130,6 +131,7 @@ _F2 = ec.Curve(
     inv=f2_inv, neg=f2_neg, scale_int=f2_scale,
     zero=F2_ZERO, one=F2_ONE, b=B2, order=N,
 )
+_G2_BASE = ec.FixedBase(_F2, G2)
 
 
 def g1_add(p1, p2):
@@ -153,6 +155,9 @@ def g2_add(p1, p2):
 
 
 def g2_mul(pt, k):
+    """k * pt; multiples of G2 read its comb table, built on first use."""
+    if pt == G2:
+        return ec.fixed_mul(_G2_BASE, k)
     return ec.mul(_F2, pt, k)
 
 
@@ -293,14 +298,20 @@ def f12_pow(a, e):
     return result
 
 
-# Frobenius constants gamma[k][j] = xi^(j*(p^k - 1)/6) for k = 1, 2, 3.
+# Frobenius constants gamma[k][j] = xi^(j*(p^k - 1)/6) for k = 1, 2, 3,
+# as powers of xi^((p^k - 1)/6); tests derive these roots with f2_pow.
+_FROB_ROOTS = (
+    (8376118865763821496583973867626364092589906065868298776909617916018768340080,
+     16469823323077808223889137241176536799009286646108169935659301613961712198316),
+    (21888242871839275220042445260109153167277707414472061641714758635765020556617, 0),
+    (11697423496358154304825782922584725312912383441159505038794027105778954184319,
+     303847389135065887422783454877609941456349188919719272345083954437860409601),
+)
 _FROB_GAMMA = []
-for _k in (1, 2, 3):
-    _e = (P ** _k - 1) // 6
-    _g1 = f2_pow(XI, _e)
+for _g in _FROB_ROOTS:
     _row = [F2_ONE]
     for _j in range(1, 6):
-        _row.append(f2_mul(_row[-1], _g1))
+        _row.append(f2_mul(_row[-1], _g))
     _FROB_GAMMA.append(tuple(_row))
 
 
@@ -357,17 +368,7 @@ def _cyc_sqr(f):
     )
 
 
-def _naf(k):
-    """Non-adjacent form of k > 0, most significant digit first."""
-    digits = []
-    while k:
-        d = 2 - (k & 3) if k & 1 else 0
-        digits.append(d)
-        k = (k - d) >> 1
-    return digits[::-1]
-
-
-_U_NAF = _naf(U)  # weight 24, against 28 set bits in binary
+_U_NAF = ec.wnaf(U, 2)  # weight 24, against 28 set bits in binary
 
 
 def _cyc_pow_u(f):
@@ -386,13 +387,12 @@ def _cyc_pow_u(f):
 # ---------------------------------------------------------------------------
 
 ATE_LOOP_COUNT = 6 * U + 2
-_ATE_NAF = _naf(ATE_LOOP_COUNT)  # weight 22, against 37 set bits in binary
+_ATE_NAF = ec.wnaf(ATE_LOOP_COUNT, 2)  # weight 22, against 37 set bits in binary
 
-# Twist-point Frobenius constants: psi(x, y) = (conj(x)*W1X, conj(y)*W1Y)
-_W1X = f2_pow(XI, (P - 1) // 3)
-_W1Y = f2_pow(XI, (P - 1) // 2)
-_W2X = f2_pow(XI, (P ** 2 - 1) // 3)
-_W2Y = f2_pow(XI, (P ** 2 - 1) // 2)
+# Twist-point Frobenius constants: psi(x, y) = (conj(x)*W1X, conj(y)*W1Y),
+# W1X = xi^((p - 1)/3) = gamma[1][2] and so on.
+_W1X, _W1Y = _FROB_GAMMA[0][2], _FROB_GAMMA[0][3]
+_W2X, _W2Y = _FROB_GAMMA[1][2], _FROB_GAMMA[1][3]
 
 _B2X3 = f2_scale(B2, 3)
 

@@ -1,3 +1,8 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
 from xchain import accounts, ec
@@ -99,3 +104,52 @@ def test_account_address_derived_once(monkeypatch):
     assert key.address == address_of(42)
     monkeypatch.setattr(accounts, "address_of", None)  # a second call would fail
     assert key.address == address_of(42)
+
+
+CURVE, G = accounts._CURVE, accounts._G
+EDGE_SCALARS = (0, 1, 2, N - 1, N, N + 1, -5)
+
+
+def test_fixed_base_matches_double_and_add():
+    rng = random.Random(11)
+    for k in [rng.randrange(N) for _ in range(100)] + list(EDGE_SCALARS):
+        assert ec.fixed_mul(accounts._G_BASE, k) == ec.mul(CURVE, G, k)
+
+
+def test_joint_matches_two_multiplications():
+    rng = random.Random(12)
+    cases = [(rng.randrange(N), ec.mul(CURVE, G, rng.randrange(1, N)), rng.randrange(N))
+             for _ in range(100)]
+    other = public_key(7)
+    cases += [(a, other, b) for a in EDGE_SCALARS for b in EDGE_SCALARS]
+    cases += [(a, G, b) for a in EDGE_SCALARS for b in EDGE_SCALARS]
+    for a, pt, b in cases:
+        expected = ec.add(CURVE, ec.mul(CURVE, G, a), ec.mul(CURVE, pt, b))
+        assert ec.joint_mul(accounts._G_BASE, a, pt, b) == expected
+
+
+def test_joint_sum_at_infinity():
+    base = accounts._G_BASE
+    assert ec.joint_mul(base, 1, G, N - 1) is None
+    assert ec.joint_mul(base, 5, public_key(5), -1) is None
+    assert ec.joint_mul(base, -6, public_key(3), 2) is None
+    assert ec.joint_mul(base, 3, None, 9) == public_key(3)
+
+
+def test_recover_inverts_sign_on_random_keys():
+    rng = random.Random(13)
+    for _ in range(100):
+        key = rng.randrange(1, N)
+        digest = rng.randbytes(32)
+        assert recover_digest(digest, *sign_digest(digest, key)) == address_of(key)
+
+
+def test_generator_table_built_on_first_use():
+    script = (
+        "import xchain.accounts as a\n"
+        "assert a._G_BASE.table is None\n"
+        "a.public_key(3)\n"
+        "assert len(a._G_BASE.table) == 256\n")
+    src = os.path.join(os.path.dirname(accounts.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)

@@ -54,6 +54,14 @@ def test_scalar_mul_matches_affine_addition(mul, add, neg, gen):
         assert mul(None, k) is None
 
 
+def test_g2_generator_table_matches_double_and_add():
+    import random
+    rng = random.Random(9)
+    scalars = [0, 1, 2, 17, curve.N - 1, curve.N, curve.N + 1, -3, 2**253 + 12345]
+    for k in scalars + [rng.randrange(curve.N) for _ in range(6)]:
+        assert curve.g2_mul(curve.G2, k) == ec.mul(curve._F2, curve.G2, k)
+
+
 def test_jacobian_addition_special_cases():
     # Unreachable from g1_mul/g2_mul on points of order N, but kept so
     # that scalar multiplication stays a group law on every curve point.
@@ -122,6 +130,28 @@ def test_cyclotomic_squaring_and_power_by_u():
     for t in elements:
         assert curve._cyc_sqr(t) == curve.f12_sqr(t)
         assert curve._cyc_pow_u(t) == curve.f12_pow(t, curve.U)
+
+
+def test_frobenius_constants_derive_from_xi():
+    p, xi = curve.P, curve.XI
+    for k in (1, 2, 3):
+        root = curve.f2_pow(xi, (p**k - 1) // 6)
+        assert curve._FROB_GAMMA[k - 1] == tuple(curve.f2_pow(root, j) for j in range(6))
+    assert curve._W1X == curve.f2_pow(xi, (p - 1) // 3)
+    assert curve._W1Y == curve.f2_pow(xi, (p - 1) // 2)
+    assert curve._W2X == curve.f2_pow(xi, (p**2 - 1) // 3)
+    assert curve._W2Y == curve.f2_pow(xi, (p**2 - 1) // 2)
+
+
+def test_naf_digits():
+    for k in (1, 2, 3, 7, curve.U, curve.ATE_LOOP_COUNT, 2**64 - 1):
+        for width in (2, 5):
+            digits = ec.wnaf(k, width)
+            assert sum(d << i for i, d in enumerate(reversed(digits))) == k
+            nonzero = [i for i, d in enumerate(digits) if d]
+            assert all(d % 2 and abs(d) < 2 ** (width - 1) for d in digits if d)
+            assert all(b - a >= width for a, b in zip(nonzero, nonzero[1:]))
+            assert digits[0] > 0
 
 
 def test_field_tower():

@@ -75,10 +75,14 @@ def _validator(sidechain, index):
     _crash(_validator("private:0x11", 0)),
     lambda doc: doc["multichain_nodes"][0].update(
         member_indices={"private:0x11": 0}),
+    lambda doc: doc["multichain_nodes"][0]["members"].append("private:0x99"),
+    lambda doc: doc["contracts"][0].update(sidechain="private:0x99"),
+    lambda doc: doc["contracts"][0].update(handler="no_such_handler"),
 ], ids=["contract", "node", "coordination", "fault-multichain",
         "fault-validator-sidechain", "fault-coordination",
         "fault-validator-index-9", "fault-validator-index-0",
-        "member-index-0"])
+        "member-index-0", "member-sidechain", "contract-sidechain",
+        "contract-handler"])
 def test_unknown_action_names_are_scenario_errors(edit, tmp_path):
     """Every name an action, a fault or a multichain node uses must be
     declared; a validator index runs from 1 to the sidechain's n."""
