@@ -112,9 +112,15 @@ class AccountKey:
 
     @classmethod
     def from_label(cls, label: str) -> "AccountKey":
-        """Deterministic key for scenario fixtures."""
-        scalar = int.from_bytes(keccak256(b"account:" + label.encode()), "big") % _N
-        return cls(private_key=scalar or 1)
+        """Deterministic key for scenario fixtures. One instance per
+        label, so its address is derived once per process."""
+        return _labelled_key(cls, label)
 
     def sign(self, digest: bytes) -> Tuple[int, int, int]:
         return sign_digest(digest, self.private_key)
+
+
+@lru_cache(maxsize=1024)
+def _labelled_key(cls, label: str) -> AccountKey:
+    scalar = int.from_bytes(keccak256(b"account:" + label.encode()), "big") % _N
+    return cls(private_key=scalar or 1)

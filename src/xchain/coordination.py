@@ -13,6 +13,7 @@ happen on the simulation event loop only, reads are pure snapshots.
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Optional
 
 from . import rlp
@@ -50,10 +51,15 @@ class EffectiveStatus(enum.Enum):
     TIMED_OUT = "timed_out"
 
 
+@lru_cache(maxsize=16384)
 def entry_key(crosschain_tx_id, originating_sidechain_id: SidechainId) -> bytes:
     """Registry key: digest of the transaction id and originating
     sidechain id, which ties the id to its sidechain without storing
-    the sidechain id itself."""
+    the sidechain id itself.
+
+    Memoized on the two frozen ids: every validator derives the key of
+    the same few entries on each status read, and the digest is a
+    pure-python keccak."""
     return keccak256(crosschain_tx_id.to_bytes()
                      + originating_sidechain_id.to_bytes())
 

@@ -28,6 +28,7 @@ equals the coordination contract's terminal status.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import wire
@@ -709,15 +710,23 @@ class ValidatorNode:
     def _threshold_round(self, kind: str, payload: bytes, context: dict):
         """Collect m valid partial signatures (own plus remote) within
         the signing round timeout; yields, returns the combined
-        signature or None."""
+        signature or None.
+
+        Combine, then verify (Boldyreva, PKC 2003): once m shares are
+        in, the first m are combined and the result verified once. Only
+        after a combination fails is each share checked on its own, and
+        m shares that passed are combined. Either way the round ends at
+        the same reply as a share-by-share check would."""
         scheme = self.world.scheme
         config = self.sidechain.threshold_config
         publics = self.sidechain.share_publics
-        partials = []
+        # (request id, share); the own share has no request id and is
+        # never checked on its own
+        own = []
         own_verdict = self._sign_verdict({**context, "kind": kind,
                                           "payload": payload})
         if own_verdict is None:
-            partials.append(scheme.sign_share(self.key_share, payload))
+            own.append((None, scheme.sign_share(self.key_share, payload)))
         req_ids = set()
         for validator in self.sidechain.validators:
             if validator is self:
@@ -727,31 +736,47 @@ class ValidatorNode:
                 {**context, "kind": kind, "payload": payload},
                 latency=self.world.config.intra_latency))
 
-        def _valid(replies) -> int:
-            count = len(partials)
-            for _, body in replies.values():
-                if not body.get("ok"):
-                    continue
-                share = self.world.scheme_share(body["index"], body["point"])
-                if scheme.verify_share(publics[body["index"]], payload, share):
-                    count += 1
-            return count
+        signature = None
+        combined_failed = False
+        verdicts = {}  # request id -> its share verified on its own
+
+        def _share_ok(rid, share) -> bool:
+            if rid is None:
+                return True
+            if rid not in verdicts:
+                verdicts[rid] = scheme.verify_share(
+                    publics[share.index], payload, share)
+            return verdicts[rid]
+
+        def _signed(replies) -> bool:
+            nonlocal signature, combined_failed
+            shares = own + [
+                (rid, self.world.scheme_share(body["index"], body["point"]))
+                for rid, (_, body) in replies.items() if body.get("ok")]
+            if len(shares) < config.m:
+                return False
+            if not combined_failed:
+                candidate = scheme.combine(
+                    [share for _, share in shares[:config.m]], config)
+                if scheme.verify(self.sidechain.group_public_key, payload,
+                                 candidate):
+                    signature = candidate
+                    return True
+                combined_failed = True
+            valid = [share for rid, share in shares if _share_ok(rid, share)]
+            if len(valid) < config.m:
+                return False
+            signature = scheme.combine(valid[:config.m], config)
+            return True
 
         replies = yield Collect(
             keys=req_ids,
             deadline=self.net.tick + self.world.config.signing_round_timeout,
-            enough=lambda rs: _valid(rs) >= config.m)
-        for _, body in replies.values():
-            if not body.get("ok"):
-                continue
-            share = self.world.scheme_share(body["index"], body["point"])
-            if scheme.verify_share(publics[body["index"]], payload, share):
-                partials.append(share)
-        if len(partials) < config.m:
-            return None
-        signature = scheme.combine(partials[:config.m], config)
-        if not scheme.verify(self.sidechain.group_public_key, payload, signature):
-            return None
+            enough=_signed)
+        if signature is None:
+            # Collect does not call ``enough`` on the reply that
+            # completes the key set
+            _signed(replies)
         return signature
 
     # -- coordination submissions ----------------------------------------------------
@@ -1129,6 +1154,16 @@ class ValidatorNode:
                    latency=cfg.cross_latency)
 
 
+@lru_cache(maxsize=256)
+def _dealer_keys(scheme, config: ThresholdConfig, seed: int):
+    """A dealer key set and (index, public share) pairs. A pure function
+    of its arguments, and all of it immutable, so a scenario run many
+    times over, as in a fault sweep, derives each sidechain's keys
+    once."""
+    shares, pk = scheme.keygen_dealer(config, seed)
+    return tuple(shares), pk, tuple((s.index, scheme.public_share(s)) for s in shares)
+
+
 class Sidechain:
     """A sidechain: threshold key material, validator set, permissions
     and the shared (instantly final) ledger."""
@@ -1158,11 +1193,10 @@ class Sidechain:
         self.block_number += n
 
     def install_keys(self, seed: int) -> None:
-        shares, pk = self.world.scheme.keygen_dealer(self.threshold_config, seed)
+        shares, pk, publics = _dealer_keys(
+            self.world.scheme, self.threshold_config, seed)
         self.group_public_key = pk
-        self.share_publics = {
-            share.index: self.world.scheme.public_share(share)
-            for share in shares}
+        self.share_publics = dict(publics)
         for validator, share in zip(self.validators, shares):
             validator.key_share = share
 

@@ -13,6 +13,7 @@ for ordinary single-chain transactions.
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .hashing import keccak256
@@ -292,6 +293,15 @@ class HandlerHost:
         return frame.view_results[position]
 
 
+@lru_cache(maxsize=1024)
+def _contract_address(deployer: bytes, counter: int,
+                      sidechain_id: SidechainId) -> bytes:
+    """Digest of deployer, deployment counter and sidechain id; the
+    same few addresses recur in every world one scenario builds."""
+    return keccak256(deployer + counter.to_bytes(8, "big")
+                     + sidechain_id.to_bytes())[12:]
+
+
 class SidechainState:
     """Canonical ledger of one sidechain (finality is instant, so all
     honest validators share this view)."""
@@ -313,9 +323,8 @@ class SidechainState:
         the digest of deployer and a per-chain deployment counter."""
         if handler_id not in self.handlers:
             raise ExecutionError(UNKNOWN_HANDLER, handler_id)
-        address = keccak256(
-            deployer + self._deploy_counter.to_bytes(8, "big")
-            + self.sidechain_id.to_bytes())[12:]
+        address = _contract_address(deployer, self._deploy_counter,
+                                    self.sidechain_id)
         self._deploy_counter += 1
         self.contracts[address] = Contract(
             address=address, handler_id=handler_id, lockable=lockable,

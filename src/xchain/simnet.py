@@ -18,6 +18,7 @@ import heapq
 import random
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 
@@ -87,37 +88,129 @@ class Message:
 
 
 def _canon(obj) -> str:
-    """Stable textual form for payload digests."""
-    if obj is None:
-        return "~"
-    if isinstance(obj, bool):
-        return "T" if obj else "F"
-    if isinstance(obj, (bytes, bytearray)):
-        return "x" + bytes(obj).hex()
-    if isinstance(obj, str):
-        return "s" + obj
-    if isinstance(obj, Enum):
-        return f"e{obj.__class__.__name__}.{obj.name}"
-    if is_dataclass(obj) and not isinstance(obj, type):
-        inner = ",".join(
-            f"{f.name}={_canon(getattr(obj, f.name))}" for f in fields(obj))
-        return f"{obj.__class__.__name__}({inner})"
-    if isinstance(obj, dict):
-        inner = ",".join(
-            f"{_canon(k)}:{_canon(v)}" for k, v in sorted(
-                obj.items(), key=lambda kv: _canon(kv[0])))
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canon(v) for v in obj) + "]"
+    """Stable textual form for payload digests.
+
+    Dispatches on the exact type through ``_RENDERERS``, which
+    ``_renderer`` fills on the first value of each type. A frozen
+    dataclass whose fields hold only immutable values is rendered once:
+    its text is kept on the instance itself (see ``_dataclass_renderer``)."""
+    render = _RENDERERS.get(type(obj))
+    if render is None:
+        render = _RENDERERS[type(obj)] = _renderer(type(obj))
+    return render(obj)
+
+
+def _canon_none(obj) -> str:
+    return "~"
+
+
+def _canon_bool(obj) -> str:
+    return "T" if obj else "F"
+
+
+def _canon_bytes(obj) -> str:
+    return "x" + bytes(obj).hex()
+
+
+def _canon_str(obj) -> str:
+    return "s" + obj
+
+
+def _canon_enum(obj) -> str:
+    return f"e{obj.__class__.__name__}.{obj.name}"
+
+
+def _canon_dict(obj) -> str:
+    # a stable sort on the key texts, as the keys themselves may not
+    # compare with each other
+    items = [(_canon(k), v) for k, v in obj.items()]
+    items.sort(key=itemgetter(0))
+    return "{" + ",".join([f"{k}:{_canon(v)}" for k, v in items]) + "}"
+
+
+def _canon_seq(obj) -> str:
+    return "[" + ",".join(map(_canon, obj)) + "]"
+
+
+def _canon_scalar(obj) -> str:
     try:
         return "i" + str(int(obj))  # covers int
     except (TypeError, ValueError):
         return "r" + repr(obj)
 
 
+_RENDERERS: Dict[type, Callable[[object], str]] = {}
+
+
+def _renderer(cls: type) -> Callable[[object], str]:
+    """The renderer for instances of cls; the order of the checks is
+    the precedence of the textual forms."""
+    if cls is type(None):
+        return _canon_none
+    if issubclass(cls, bool):
+        return _canon_bool
+    if issubclass(cls, (bytes, bytearray)):
+        return _canon_bytes
+    if issubclass(cls, str):
+        return _canon_str
+    if issubclass(cls, Enum):
+        return _canon_enum
+    if is_dataclass(cls) and not issubclass(cls, type):
+        return _dataclass_renderer(cls)
+    if issubclass(cls, dict):
+        return _canon_dict
+    if issubclass(cls, (list, tuple)):
+        return _canon_seq
+    return _canon_scalar
+
+
+# Instance attribute holding a frozen dataclass's canonical text.
+_CANON_TEXT = "_simnet_canon_text"
+_IMMUTABLE = frozenset((type(None), bool, int, str, bytes))
+
+
+def _dataclass_renderer(cls: type) -> Callable[[object], str]:
+    """Field names are read once per class. A frozen instance keeps its
+    text in its ``__dict__``, as ``functools.cached_property`` does:
+    per instance, never per value, since equal values such as F(True)
+    and F(1) have different texts. The text is kept only when every
+    field is settled (see ``_settled``), so a frozen instance holding a
+    list or a bytearray is rendered again on each use."""
+    names = tuple(f.name for f in fields(cls))
+    head = cls.__name__ + "("
+    frozen = cls.__dataclass_params__.frozen
+
+    def render(obj) -> str:
+        # None for a mutable or a __slots__ dataclass: no memo
+        state = getattr(obj, "__dict__", None) if frozen else None
+        text = None if state is None else state.get(_CANON_TEXT)
+        if text is None:
+            values = [getattr(obj, name) for name in names]
+            text = head + ",".join(
+                f"{name}={_canon(value)}" for name, value in zip(names, values)) + ")"
+            if state is not None and all(map(_settled, values)):
+                state[_CANON_TEXT] = text
+        return text
+
+    return render
+
+
+def _settled(value) -> bool:
+    """True when value's canonical text can never change."""
+    if type(value) in _IMMUTABLE or isinstance(value, Enum):
+        return True
+    if type(value) is tuple:
+        return all(map(_settled, value))
+    return _CANON_TEXT in getattr(value, "__dict__", ())
+
+
 def payload_digest(obj) -> str:
-    # trace digests are diagnostic, not protocol material: sha256 is
-    # stable across runs and much faster than the pure-python keccak
+    """Eight hex digits of sha256 over ``_canon(obj)``; "-" for None.
+
+    Trace digests are diagnostic, not protocol material: sha256 is
+    stable across runs and much faster than the pure-python keccak. The
+    canonical text of each frozen message or transaction is computed
+    once, however many records carry it."""
     if obj is None:
         return "-"
     return hashlib.sha256(_canon(obj).encode()).hexdigest()[:8]

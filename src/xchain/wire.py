@@ -430,9 +430,11 @@ def decode_message(data: bytes) -> ThresholdMessage:
 # Contract call data: RLP of [4-byte selector, *parameters]
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1024)
 def selector(function_name: str) -> bytes:
     """Truncated digest of the function name (the mini-VM has no
-    overloading, so the name alone identifies the function)."""
+    overloading, so the name alone identifies the function). Memoized:
+    a run calls a handful of names many times."""
     return keccak256(function_name.encode())[:4]
 
 

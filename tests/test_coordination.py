@@ -9,6 +9,7 @@ from xchain.coordination import (
     entry_key,
     key_update_payload,
 )
+from xchain.hashing import keccak256
 from xchain.threshold import ThresholdConfig, get_scheme
 from xchain.wire import (
     CrosschainTxId,
@@ -231,3 +232,14 @@ def test_rotation_requires_authorization(setup):
     with pytest.raises(CoordinationError):
         chain.register_pubkey(SidechainId.private(0xCC), new_pk,
                               authorization=bad_auth)
+
+
+def test_entry_key_is_the_digest_of_id_and_sidechain():
+    other = SidechainId.private(0xBB)
+    for value in (0, 1, 2**255 + 7):
+        for origin in (ORIGIN, other):
+            expected = keccak256(CrosschainTxId(value).to_bytes() + origin.to_bytes())
+            # the second call is answered by the memo, from an equal id
+            assert entry_key(CrosschainTxId(value), origin) == expected
+            assert entry_key(CrosschainTxId(value), origin) == expected
+    assert entry_key(CrosschainTxId(1), ORIGIN) != entry_key(CrosschainTxId(1), other)

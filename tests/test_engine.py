@@ -565,6 +565,43 @@ def test_corrupt_share_tolerated_then_fatal_bn254():
     _corrupt_share_tolerated_then_fatal(WorldConfig(scheme="bn254"))
 
 
+def test_shares_are_checked_one_by_one_only_after_a_combination_fails(monkeypatch):
+    from xchain.threshold import ThresholdScheme
+    checked = []
+    verify_share = ThresholdScheme.verify_share
+
+    def counting(self, public_share, message, sig_share):
+        checked.append(sig_share.index)
+        return verify_share(self, public_share, message, sig_share)
+
+    monkeypatch.setattr(ThresholdScheme, "verify_share", counting)
+    world, mn, ref, contracts = conditional_buy_world()
+    handle = world.submit_crosschain_tx(
+        "nodeA", build_purchase(world, mn, ref, contracts))
+    drain(world)
+    assert handle.committed and checked == []
+
+    world, mn, ref, contracts = conditional_buy_world()
+    corrupt = world.sidechains[SC1].validator(2)
+    world.net.inject(FaultSpec(kind="corrupt_share", node=corrupt.node_id,
+                               at_tick=0))
+    handle = world.submit_crosschain_tx(
+        "nodeA", build_purchase(world, mn, ref, contracts))
+    drain(world)
+    assert handle.committed and corrupt.index in checked
+
+
+def test_round_signs_when_the_last_reply_completes_the_threshold():
+    # m = n = 2: the one remote reply completes the key set, and Collect
+    # does not call ``enough`` on that reply
+    world, mn, ref, contracts = conditional_buy_world(validators=2)
+    assert world.sidechains[SC1].threshold_config.m == 2
+    handle = world.submit_crosschain_tx(
+        "nodeA", build_purchase(world, mn, ref, contracts))
+    drain(world)
+    assert handle.committed
+
+
 def test_remove_validators_below_threshold_times_out():
     world, mn, ref, contracts = conditional_buy_world()
     coordinator_index = mn.members[SC3].index

@@ -227,3 +227,44 @@ def test_cli_sweep_small():
         "--fault-kind", "drop_message"])
     assert result.exit_code == 0, result.output
     assert "cells passed" in result.output
+
+
+def _derived_material(world):
+    """Every key and address a world derives while it is built."""
+    return {
+        "sidechains": {
+            chain_id: (sc.group_public_key, sc.share_publics,
+                       [v.key_share for v in sc.validators],
+                       sorted(sc.state.contracts))
+            for chain_id, sc in world.sidechains.items()},
+        "accounts": {name: mn.account.address
+                     for name, mn in world.multichain_nodes.items()},
+    }
+
+
+def test_sweep_worlds_derive_what_separately_loaded_scenarios_do():
+    """Worlds built from one Scenario, as run_sweep builds them, read
+    keys and addresses memoized per process; they equal a cold
+    derivation, and rotating a key in one world leaves the others'."""
+    from xchain import accounts, engine, sidechain
+    from xchain.scenario import build_sweep_cells
+
+    path = str(SCENARIO_DIR / "fault_sweep.scn")
+    scenario = Scenario.load(path)
+    cells = build_sweep_cells(scenario, ["crash_node"])[:2]
+    shared = [scenario.run(extra_faults=cell.faults).world for cell in cells]
+    for memo in (engine._dealer_keys, accounts._labelled_key,
+                 sidechain._contract_address):
+        memo.cache_clear()
+    separate = [Scenario.load(path).run(extra_faults=cell.faults).world
+                for cell in cells]
+    for world in shared + separate:
+        assert _derived_material(world) == _derived_material(separate[0])
+
+    chain_id = next(iter(shared[0].sidechains))
+    assert shared[0].sidechains[chain_id].share_publics \
+        is not shared[1].sidechains[chain_id].share_publics
+    old_key = shared[0].sidechains[chain_id].group_public_key
+    shared[0].rekey_sidechain(chain_id, seed=99)
+    assert shared[0].sidechains[chain_id].group_public_key != old_key
+    assert _derived_material(shared[1]) == _derived_material(separate[0])

@@ -1,6 +1,14 @@
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
+from pathlib import Path
+
 import pytest
 
-from xchain.simnet import FaultSpec, FaultError, Message, NodeCrashed, SimNet
+from xchain import simnet
+from xchain.scenario import Scenario
+from xchain.simnet import FaultSpec, FaultError, Message, NodeCrashed, SimNet, _canon
+
+SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
 
 class Recorder:
@@ -176,3 +184,80 @@ def test_fault_validation():
     Recorder(net, "a")
     with pytest.raises(FaultError):
         net.register("a", object())  # duplicate id
+
+
+# --- payload canonical form ----------------------------------------------------------
+
+def _canon_reference(obj) -> str:
+    """The canonical form as one chain of checks, with no memo."""
+    if obj is None:
+        return "~"
+    if isinstance(obj, bool):
+        return "T" if obj else "F"
+    if isinstance(obj, (bytes, bytearray)):
+        return "x" + bytes(obj).hex()
+    if isinstance(obj, str):
+        return "s" + obj
+    if isinstance(obj, Enum):
+        return f"e{obj.__class__.__name__}.{obj.name}"
+    if is_dataclass(obj) and not isinstance(obj, type):
+        inner = ",".join(
+            f"{f.name}={_canon_reference(getattr(obj, f.name))}" for f in fields(obj))
+        return f"{obj.__class__.__name__}({inner})"
+    if isinstance(obj, dict):
+        inner = ",".join(
+            f"{_canon_reference(k)}:{_canon_reference(v)}" for k, v in sorted(
+                obj.items(), key=lambda kv: _canon_reference(kv[0])))
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_canon_reference(v) for v in obj) + "]"
+    try:
+        return "i" + str(int(obj))
+    except (TypeError, ValueError):
+        return "r" + repr(obj)
+
+
+@dataclass(frozen=True)
+class _Box:
+    value: object
+
+
+@dataclass(frozen=True)
+class _Pair:
+    left: object
+    right: object
+
+
+@pytest.mark.parametrize("first,second", [
+    (True, 1), (1, True), (b"ab", bytearray(b"ab")), (bytearray(b"ab"), b"ab")])
+def test_canon_memo_is_per_instance_not_per_value(first, second):
+    a, b = _Box(first), _Box(second)
+    assert a == b  # a memo keyed by value would give b the text of a
+    for value in (a, b, a, b, _Pair(a, b), _Pair(b, a), (a, b), {"k": b}):
+        assert _canon(value) == _canon_reference(value)
+
+
+def test_canon_follows_mutable_contents_of_a_frozen_value():
+    blob, items = bytearray(b"ab"), [1]
+    boxes = _Pair(_Box(blob), _Box((items, 2)))
+    before = _canon(boxes)
+    blob[0] = 0x7A
+    items.append(True)
+    assert _canon(boxes) == _canon_reference(boxes) != before
+
+
+def test_canon_of_every_scenario_payload_matches_reference(monkeypatch):
+    payloads = []
+    digest = simnet.payload_digest
+
+    def spy(obj):
+        payloads.append(obj)
+        return digest(obj)
+
+    monkeypatch.setattr(simnet, "payload_digest", spy)
+    Scenario.load(str(SCENARIO_DIR / "conditional_buy.scn")).run()
+    assert len(payloads) > 100
+    # twice: the second pass reads the memo of every frozen value
+    for _ in range(2):
+        for obj in payloads:
+            assert _canon(obj) == _canon_reference(obj)

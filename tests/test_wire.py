@@ -1,9 +1,13 @@
+import ast
 import dataclasses
+import inspect
 
 import pytest
 from hypothesis import given, strategies as st
 
+from xchain import handlers
 from xchain.accounts import AccountKey
+from xchain.hashing import keccak256
 from xchain.wire import (
     CommonSignerError,
     CrosschainTransaction,
@@ -22,6 +26,7 @@ from xchain.wire import (
     recover_signer,
     rlp_decode,
     rlp_encode,
+    selector,
     sign_tx,
     signing_digest,
     tx_hash,
@@ -276,3 +281,30 @@ def test_call_data_property(number, blob):
     sel, args = decode_call(encode_call("fn", number, blob))
     assert int.from_bytes(args[0], "big") == number
     assert args[1] == blob
+
+
+def _registered_functions():
+    """(handler id, function name, function) for every ``@handler``
+    decorator in xchain.handlers, read from its source."""
+    tree = ast.parse(inspect.getsource(handlers))
+    found = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for deco in node.decorator_list:
+            if (isinstance(deco, ast.Call) and isinstance(deco.func, ast.Name)
+                    and deco.func.id == "handler"):
+                handler_id, name = (arg.value for arg in deco.args)
+                found.append((handler_id, name, getattr(handlers, node.name)))
+    return found
+
+
+def test_selector_is_the_truncated_name_digest_of_every_handler_function():
+    registered = _registered_functions()
+    assert len(registered) >= 10
+    for handler_id, name, fn in registered:
+        expected = keccak256(name.encode())[:4]
+        # the second call is answered by the memo
+        assert selector(name) == expected
+        assert selector(name) == expected
+        assert handlers.HANDLERS[handler_id][expected] is fn
