@@ -5,8 +5,14 @@ secp256k1 is y^2 = x^3 + 7, an a = 0 curve: its points are added and
 multiplied by the group law in ``xchain.ec`` that BN254 G1 and G2 use
 too. Every multiple of the generator G (public keys, signing nonces)
 reads G's comb table, which the first such multiple builds; recovery
-computes u1*G + u2*R in one joint pass over that table and a wNAF of
-u2.
+computes u1*G + u2*R in one joint pass over that table and u2's
+multiples of R.
+
+The curve carries the endomorphism phi(x, y) = (beta*x, y), which maps
+every point P to lam*P (beta a cube root of unity mod p, lam one mod
+n). Recovery splits u2 into k1 + k2*lam with both halves of ~128 bits,
+so u2*R = k1*R + k2*phi(R) takes ~128 doublings instead of ~256, and
+phi(R)'s odd multiples are R's with x scaled by beta.
 
 The nonce k is derived deterministically by hashing (simulation grade,
 not RFC 6979 and not constant time). V is 27/28 and is never folded
@@ -26,7 +32,10 @@ _N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 _GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 _G = (_GX, _GY)
-_CURVE = ec.prime_curve(_P, 7, _N)
+# phi(x, y) = (beta * x, y) = lam * (x, y): beta^3 = 1 mod p, lam^3 = 1 mod n
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+_CURVE = ec.prime_curve(_P, 7, _N, endo=(_BETA, _LAMBDA))
 _G_BASE = ec.FixedBase(_CURVE, _G)
 
 

@@ -11,33 +11,57 @@ Z == 0 being the point at infinity, so that it needs one inversion in
 all instead of one per group operation. Formulas for a = 0 from the
 Explicit-Formulas Database (hyperelliptic.org/EFD/g1p/auto-shortw-jacobian-0).
 
+Every multiplication is one interleaved pass (Straus): a schedule lists
+the affine points to add at each step, and the accumulator doubles once
+between steps. A variable point contributes the width-w NAF of its
+scalar over its odd multiples, w taken from the scalar's bit length, so
+a short scalar such as a Horner index 1..n pays for no table.
+
+secp256k1 and BN254 G1 are j = 0 curves of prime order n with a cube
+root of unity beta mod p, so phi(x, y) = (beta * x, y) is an
+endomorphism that acts on the group as a scalar lam, a cube root of
+unity mod n (Gallant-Lambert-Vanstone, CRYPTO 2001). Such a ``Curve``
+carries (beta, lam), derives a short basis of the lattice
+{(a, b) : a + b * lam = 0 mod n} once (GLV section 4, extended Euclid on
+n and lam), and splits k into k1 + k2 * lam with |k1|, |k2| about
+sqrt(n). The pass then runs over ~128 steps instead of ~256: k1's digits
+add odd multiples of P and k2's the same multiples under phi, which
+cost one field multiplication each. A negative half flips the sign of
+its digits. G2 has no such parameters here and keeps one wNAF term.
+
 A fixed point such as a generator G can carry a comb table
 (``FixedBase``, Lim-Lee, CRYPTO 1994). A scalar's bits are cut into 8
 rows of ``spacing`` bits (32 for a 256-bit order), and the table holds
 the 255 affine sums of the rows' base points 2^(i * spacing) * G, so
-``fixed_mul`` takes 32 doublings and at most 32 mixed additions where
-``mul`` takes 255 and about 128. The table is built on first use, in
-Jacobian coordinates and then normalized with a single batch inversion
-(~5 ms for secp256k1), so declaring one at import costs nothing.
-``joint_mul`` computes a * G + b * R, as ECDSA recovery needs, in one
-pass of doublings (Straus's interleaving): b's width-5 NAF adds odd
-multiples of R, and the comb columns of a join in the last ``spacing``
-steps, so a costs additions only.
+``fixed_mul`` takes 32 doublings and at most 32 mixed additions. The
+table is built on first use, in Jacobian coordinates and then
+normalized with a single batch inversion (~5 ms for secp256k1), so
+declaring one at import costs nothing. ``joint_mul`` computes
+a * G + b * R, as ECDSA recovery needs, in one pass: the comb columns
+of a join the schedule of b * R in its last ``spacing`` steps, so a
+costs additions only.
 
 Pure python, not constant time: simulation grade.
 """
 
 
 class Curve:
-    """Field operation table and constants of one a = 0 curve."""
+    """Field operation table and constants of one a = 0 curve.
 
-    def __init__(self, add, sub, mul, sqr, inv, neg, scale_int, zero, one, b, order):
+    ``endo`` is (beta, lam) where (beta * x, y) = lam * (x, y) on the
+    whole group, or None; with it, ``basis`` holds two short vectors
+    (a, b) with a + b * lam = 0 mod the order."""
+
+    def __init__(self, add, sub, mul, sqr, inv, neg, scale_int, zero, one, b, order,
+                 endo=None):
         self.add, self.sub, self.mul, self.sqr = add, sub, mul, sqr
         self.inv, self.neg, self.scale_int = inv, neg, scale_int
         self.zero, self.one, self.b, self.order = zero, one, b, order
+        self.endo = endo
+        self.basis = None if endo is None else _glv_basis(order, endo[1])
 
 
-def prime_curve(p: int, b: int, order: int) -> Curve:
+def prime_curve(p: int, b: int, order: int, endo=None) -> Curve:
     """y^2 = x^3 + b over the prime field F_p, with a group of this order."""
     return Curve(
         add=lambda x, y: (x + y) % p,
@@ -47,8 +71,38 @@ def prime_curve(p: int, b: int, order: int) -> Curve:
         inv=lambda x: pow(x, -1, p),
         neg=lambda x: (-x) % p,
         scale_int=lambda x, k: x * k % p,
-        zero=0, one=1, b=b, order=order,
+        zero=0, one=1, b=b, order=order, endo=endo,
     )
+
+
+def _glv_basis(n: int, lam: int):
+    """Two short vectors (a1, b1), (a2, b2) of the lattice
+    {(a, b) : a + b * lam = 0 mod n}, of determinant n (GLV section 4).
+
+    The extended Euclidean algorithm on n and lam keeps r = s * n + t * lam,
+    so each (r, -t) lies in the lattice; v1 is the first with r < sqrt(n)
+    and v2 the shorter of its two neighbours."""
+    r0, r1, t0, t1 = n, lam, 0, 1
+    while r1 * r1 >= n:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    q = r0 // r1
+    r2, t2 = r0 - q * r1, t0 - q * t1
+    v1 = (r1, -t1)
+    v2 = (r0, -t0) if r0 * r0 + t0 * t0 <= r2 * r2 + t2 * t2 else (r2, -t2)
+    if v1[0] * v2[1] - v2[0] * v1[1] < 0:
+        v1, v2 = v2, v1
+    return v1, v2
+
+
+def _split(curve: Curve, k: int):
+    """(k1, k2) with k1 + k2 * lam = k mod n and both about sqrt(n) in
+    absolute value: (k, 0) less the lattice vector nearest to it."""
+    (a1, b1), (a2, b2) = curve.basis
+    n2 = 2 * curve.order  # the basis determinant, doubled for rounding
+    c1 = (2 * b2 * k + curve.order) // n2
+    c2 = (-2 * b1 * k + curve.order) // n2
+    return k - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2
 
 
 def on_curve(curve: Curve, pt) -> bool:
@@ -121,20 +175,6 @@ def _jac_add_affine(curve: Curve, X1, Y1, Z1, x2, y2):
     Y3 = sub(sub(mul(r, sub(V, X3)), Y1J), Y1J)
     Z3 = sub(sub(sqr(add(Z1, H)), Z1Z1), HH)
     return X3, Y3, Z3
-
-
-def mul(curve: Curve, pt, k: int):
-    """k * pt by left-to-right double-and-add, k taken modulo the order."""
-    k %= curve.order
-    if pt is None or not k:
-        return None
-    x, y = pt
-    X, Y, Z = x, y, curve.one
-    for bit in bin(k)[3:]:
-        X, Y, Z = _jac_double(curve, X, Y, Z)
-        if bit == "1":
-            X, Y, Z = _jac_add_affine(curve, X, Y, Z, x, y)
-    return _to_affine(curve, X, Y, Z)
 
 
 def _to_affine(curve: Curve, X, Y, Z):
@@ -231,59 +271,98 @@ class FixedBase:
 def fixed_mul(base: FixedBase, k: int):
     """k * base.point, k taken modulo the order, from the comb table: one
     doubling and at most one mixed addition per column."""
-    curve = base.curve
-    k %= curve.order
+    k %= base.curve.order
     if not k:
         return None
     table = base.comb()
-    X, Y, Z = curve.one, curve.one, curve.zero
-    for idx in base.columns(k):
-        X, Y, Z = _jac_double(curve, X, Y, Z)
-        if idx:
-            X, Y, Z = _jac_add_affine(curve, X, Y, Z, *table[idx])
-    return _to_affine(curve, X, Y, Z)
+    steps = [[table[idx]] if idx else [] for idx in base.columns(k)]
+    return _to_affine(base.curve, *_run(base.curve, steps))
 
 
-_JOINT_WIDTH = 5
-
-
-def _odd_multiples(curve: Curve, pt, count: int):
-    """pt, 3 pt, 5 pt, ...: count affine points, with two inversions."""
-    x, y = pt
-    twice = _to_affine(curve, *_jac_double(curve, x, y, curve.one))
-    points = [(x, y, curve.one)]
-    for _ in range(count - 1):
-        points.append(_jac_add_affine(curve, *points[-1], *twice))
-    return _batch_to_affine(curve, points)
+def mul(curve: Curve, pt, k: int):
+    """k * pt, k taken modulo the order; pt must lie in the group of
+    order ``curve.order`` when the curve has an endomorphism."""
+    k %= curve.order
+    if pt is None or not k:
+        return None
+    return _to_affine(curve, *_run(curve, _schedule(curve, pt, k)))
 
 
 def joint_mul(base: FixedBase, a: int, pt, b: int):
     """a * base.point + b * pt, a and b taken modulo the order, in one pass
     of doublings; pt must lie in the group of order ``curve.order``.
 
-    b's width-5 NAF adds odd multiples of pt as the pass goes; column c
-    of a's comb is added with c doublings still to come, so it counts
-    2^c times, as in ``fixed_mul``."""
+    Column c of a's comb is added with c doublings still to come, so it
+    counts 2^c times, as in ``fixed_mul``."""
     curve = base.curve
     b %= curve.order
     if pt is None or not b:
         return fixed_mul(base, a)
-    a %= curve.order
+    steps = _schedule(curve, pt, b)
+    columns = base.columns(a % curve.order)
+    steps[:0] = [[] for _ in range(len(columns) - len(steps))]
     table = base.comb()
-    multiples = {}
-    for i, (x, y) in enumerate(_odd_multiples(curve, pt, 1 << (_JOINT_WIDTH - 2))):
-        multiples[2 * i + 1] = (x, y)
-        multiples[-2 * i - 1] = (x, curve.neg(y))
-    digits = wnaf(b, _JOINT_WIDTH)
-    columns = base.columns(a)
-    n = max(len(digits), len(columns))
-    digits = [0] * (n - len(digits)) + digits
-    columns = [0] * (n - len(columns)) + columns
-    X, Y, Z = curve.one, curve.one, curve.zero
-    for digit, idx in zip(digits, columns):
-        X, Y, Z = _jac_double(curve, X, Y, Z)
-        if digit:
-            X, Y, Z = _jac_add_affine(curve, X, Y, Z, *multiples[digit])
+    for points, idx in zip(steps[len(steps) - len(columns):], columns):
         if idx:
-            X, Y, Z = _jac_add_affine(curve, X, Y, Z, *table[idx])
-    return _to_affine(curve, X, Y, Z)
+            points.append(table[idx])
+    return _to_affine(curve, *_run(curve, steps))
+
+
+def _run(curve: Curve, steps):
+    """The Jacobian sum of each step's affine points times 2^(steps after
+    it): one doubling between steps, none while the sum is at infinity."""
+    zero = curve.zero
+    X, Y, Z = curve.one, curve.one, zero
+    for points in steps:
+        if Z != zero:
+            X, Y, Z = _jac_double(curve, X, Y, Z)
+        for x2, y2 in points:
+            X, Y, Z = _jac_add_affine(curve, X, Y, Z, x2, y2)
+    return X, Y, Z
+
+
+def _width(bits: int) -> int:
+    """Window width for a scalar (or GLV half) of this many bits. A table
+    of 2^(w-2) odd multiples costs one doubling, 2^(w-2) - 1 mixed
+    additions and two inversions (an inversion costs about three mixed
+    additions); against width w - 1 it saves bits/(w*(w+1)) additions
+    per scalar. Up to 64 bits, as for the Horner indices of commitment
+    evaluation, the point itself is the whole table."""
+    return 2 if bits <= 64 else 4 if bits <= 100 else 5
+
+
+def _schedule(curve: Curve, pt, k: int):
+    """The affine points k * pt adds at each doubling step, top step
+    first, for 0 < k < order: the width-w NAF of k over pt's odd
+    multiples or, on a curve with an endomorphism, the NAFs of k's two
+    halves over the odd multiples of pt and of phi(pt)."""
+    halves = (k,) if curve.endo is None else _split(curve, k)
+    width = _width(max(abs(h).bit_length() for h in halves))
+    table = _odd_multiples(curve, pt, 1 << (width - 2))
+    tables = [table]
+    if curve.endo is not None:
+        beta = curve.endo[0]
+        tables.append([(curve.mul(beta, x), y) for x, y in table])
+    nafs = [wnaf(abs(h), width) for h in halves]
+    steps = [[] for _ in range(max(map(len, nafs)))]
+    neg = curve.neg
+    for half, digits, table in zip(halves, nafs, tables):
+        flip = half < 0
+        for i, d in enumerate(digits, len(steps) - len(digits)):
+            if d:
+                x, y = table[abs(d) >> 1]
+                steps[i].append((x, neg(y)) if (d < 0) != flip else (x, y))
+    return steps
+
+
+def _odd_multiples(curve: Curve, pt, count: int):
+    """pt, 3 pt, 5 pt, ...: count affine points, with two inversions
+    (none for pt alone)."""
+    if count == 1:
+        return [pt]
+    x, y = pt
+    twice = _to_affine(curve, *_jac_double(curve, x, y, curve.one))
+    points = [(x, y, curve.one)]
+    for _ in range(count - 1):
+        points.append(_jac_add_affine(curve, *points[-1], *twice))
+    return _batch_to_affine(curve, points)

@@ -8,7 +8,9 @@ Everything is derived from the single BN parameter ``U``:
 G1 is y^2 = x^3 + 3 over Fp with generator (1, 2). G2 lives on the
 sextic twist y^2 = x^3 + 3/xi over Fp2 with xi = 9 + i. G1 and G2 share
 the a = 0 group law of ``xchain.ec`` with secp256k1; multiples of the
-generator G2 (key commitments) read its comb table there.
+generator G2 (key commitments) read its comb table there. G1 carries the
+endomorphism (beta*x, y) = lam*(x, y), so ``g1_mul`` splits its scalar
+into two ~127-bit halves (GLV); G2 keeps one wNAF term.
 
 Fp12 is stored flat as six Fp2 coefficients over w with w^6 = xi, and
 multiplied over the tower Fp6 = Fp2[v]/(v^3 - xi), Fp12 = Fp6[w]/(w^2 - v):
@@ -124,7 +126,11 @@ B2 = f2_mul((B, 0), f2_inv(XI))  # twist constant 3/(9+i)
 # G1 (field Fp) and G2 (field Fp2 on the twist) on the shared a = 0 law.
 # ---------------------------------------------------------------------------
 
-_F1 = ec.prime_curve(P, B, N)
+# phi(x, y) = (beta * x, y) = lam * (x, y) on G1: beta^3 = 1 mod p,
+# lam^3 = 1 mod n
+_BETA = 0x59E26BCEA0D48BACD4F263F1ACDB5C4F5763473177FFFFFE
+_LAMBDA = 0xB3C4D79D41A917585BFC41088D8DAAA78B17EA66B99C90DD
+_F1 = ec.prime_curve(P, B, N, endo=(_BETA, _LAMBDA))
 
 _F2 = ec.Curve(
     add=f2_add, sub=f2_sub, mul=f2_mul, sqr=f2_sqr,

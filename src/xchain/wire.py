@@ -12,7 +12,7 @@ signature and its ancestors'.
 
 import enum
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Tuple
 
 from . import rlp
@@ -172,6 +172,12 @@ class CrosschainTransaction:
         for sub in self.subordinates:
             yield from sub.walk()
 
+    @cached_property
+    def _signing_digest(self) -> bytes:
+        # kept in the instance's __dict__, outside the fields, so equality
+        # and hashing ignore it and a ``replace``d copy derives its own
+        return tx_hash(replace(self, sig_v=None, sig_r=None, sig_s=None))
+
 
 def _encode_fields(tx: CrosschainTransaction) -> list:
     return [
@@ -268,14 +274,11 @@ def tx_hash(tx: CrosschainTransaction) -> bytes:
     return keccak256(rlp_encode(tx))
 
 
-def _unsigned(tx: CrosschainTransaction) -> CrosschainTransaction:
-    return replace(tx, sig_v=None, sig_r=None, sig_s=None)
-
-
 def signing_digest(tx: CrosschainTransaction) -> bytes:
     """Digest an account signs: hash of the signature-less encoding,
-    which covers every (already signed) subordinate."""
-    return tx_hash(_unsigned(tx))
+    which covers every (already signed) subordinate. Derived once per
+    transaction instance."""
+    return tx._signing_digest
 
 
 def sign_tx(tx: CrosschainTransaction, account: AccountKey) -> CrosschainTransaction:

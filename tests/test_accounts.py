@@ -37,6 +37,25 @@ def affine_add(p1, p2):
     return (x3, (lam * (x1 - x3) - y1) % P)
 
 
+def double_and_add(pt, k):
+    """Reference k * pt: right-to-left double-and-add on affine_add."""
+    k %= N
+    acc = None
+    while k:
+        if k & 1:
+            acc = affine_add(acc, pt)
+        pt = affine_add(pt, pt)
+        k >>= 1
+    return acc
+
+
+BETA, LAMBDA = accounts._BETA, accounts._LAMBDA
+# edge scalars of the GLV split: lam and n - lam, sizes around a half's
+# 128 bits, both ends of the range and negative values
+GLV_SCALARS = (0, 1, 2, 3, 7, 255, 2**64 + 1, 2**128, 2**129 - 1,
+               LAMBDA, N - LAMBDA, LAMBDA + 1, N - 1, N, N + 1, -1, -5)
+
+
 def test_generator_sanity():
     # y^2 == x^3 + 7 for the configured generator
     x, y = public_key(1)
@@ -57,6 +76,11 @@ def test_scalar_mul_matches_affine_addition():
     assert ec.mul(accounts._CURVE, gen, N - 1) == (gen[0], P - gen[1])
     assert ec.mul(accounts._CURVE, gen, N) is None
     assert ec.mul(accounts._CURVE, gen, N + 1) == gen
+    rng = random.Random(15)
+    other = public_key(rng.randrange(1, N))
+    for pt in (gen, other):
+        for k in list(GLV_SCALARS) + [rng.randrange(N) for _ in range(20)]:
+            assert ec.mul(accounts._CURVE, pt, k) == double_and_add(pt, k)
 
 
 def test_sign_recover_round_trip():
@@ -113,7 +137,56 @@ EDGE_SCALARS = (0, 1, 2, N - 1, N, N + 1, -5)
 def test_fixed_base_matches_double_and_add():
     rng = random.Random(11)
     for k in [rng.randrange(N) for _ in range(100)] + list(EDGE_SCALARS):
-        assert ec.fixed_mul(accounts._G_BASE, k) == ec.mul(CURVE, G, k)
+        assert ec.fixed_mul(accounts._G_BASE, k) == double_and_add(G, k)
+
+
+def test_endomorphism_constants():
+    assert pow(BETA, 3, P) == 1 and BETA != 1
+    assert (LAMBDA * LAMBDA + LAMBDA + 1) % N == 0
+    assert double_and_add(G, LAMBDA) == (BETA * G[0] % P, G[1])
+    assert CURVE.endo == (BETA, LAMBDA)
+
+
+def test_glv_split_gives_short_halves():
+    rng = random.Random(14)
+    scalars = [0, 1, LAMBDA, N - LAMBDA, N - 1, 2**255 % N]
+    for k in scalars + [rng.randrange(N) for _ in range(1000)]:
+        k1, k2 = ec._split(CURVE, k)
+        assert (k1 + k2 * LAMBDA - k) % N == 0
+        assert abs(k1) < 2**129 and abs(k2) < 2**129
+
+
+def test_joint_matches_double_and_add():
+    rng = random.Random(16)
+    other = public_key(rng.randrange(1, N))
+    cases = [(rng.randrange(N), other, rng.randrange(N)) for _ in range(10)]
+    cases += [(a, pt, b) for pt in (G, other) for a in (0, 1, N - 1)
+              for b in GLV_SCALARS]
+    for a, pt, b in cases:
+        expected = affine_add(double_and_add(G, a), double_and_add(pt, b))
+        assert ec.joint_mul(accounts._G_BASE, a, pt, b) == expected
+
+
+def test_recovery_takes_half_the_doublings(monkeypatch):
+    """The GLV split halves the doublings of u1*G + u2*R: at most 132
+    per recovery where a full-length u2 takes 256."""
+    public_key(1)  # build G's comb table before counting
+    calls = [0]
+    double = ec._jac_double
+
+    def counted(*args):
+        calls[0] += 1
+        return double(*args)
+
+    monkeypatch.setattr(ec, "_jac_double", counted)
+    rng = random.Random(17)
+    for _ in range(20):
+        key, digest = rng.randrange(1, N), rng.randbytes(32)
+        v, r, s = sign_digest(digest, key)
+        expected = address_of(key)
+        calls[0] = 0
+        assert recover_digest.__wrapped__(digest, v, r, s) == expected
+        assert 100 < calls[0] <= 132
 
 
 def test_joint_matches_two_multiplications():

@@ -35,6 +35,18 @@ def test_group_law():
     assert curve.g2_add(q2, curve.g2_neg(q2)) is None
 
 
+def _double_and_add(add, pt, k):
+    """Reference k * pt: right-to-left double-and-add on the affine law."""
+    k %= curve.N
+    acc = None
+    while k:
+        if k & 1:
+            acc = add(acc, pt)
+        pt = add(pt, pt)
+        k >>= 1
+    return acc
+
+
 @pytest.mark.parametrize("mul,add,neg,gen", [
     (curve.g1_mul, curve.g1_add, curve.g1_neg, curve.G1),
     (curve.g2_mul, curve.g2_add, curve.g2_neg, curve.G2),
@@ -50,8 +62,54 @@ def test_scalar_mul_matches_affine_addition(mul, add, neg, gen):
     assert mul(gen, -1) == neg(gen)
     a, b = 2**253 + 12345, curve.N - 2**200
     assert mul(gen, a + b) == add(mul(gen, a), mul(gen, b))
+    import random
+    rng = random.Random(7)
+    n, lam = curve.N, curve._LAMBDA
+    other = _double_and_add(add, gen, rng.randrange(1, n))
+    scalars = [0, 1, 2, 3, 10, 2**64 - 1, 2**64 + 1, 2**128, lam, n - lam,
+               n - 1, n, n + 1, -1, -7] + [rng.randrange(n) for _ in range(8)]
+    for k in scalars + list(range(1, 11)):  # and the Horner indices 1..n
+        assert mul(other, k) == _double_and_add(add, other, k)
     for k in (0, 1, 5, curve.N - 1):
         assert mul(None, k) is None
+
+
+def test_g1_endomorphism_constants():
+    beta, lam = curve._BETA, curve._LAMBDA
+    assert pow(beta, 3, curve.P) == 1 and beta != 1
+    assert (lam * lam + lam + 1) % curve.N == 0
+    assert _double_and_add(curve.g1_add, curve.G1, lam) == (beta * curve.G1[0] % curve.P,
+                                                           curve.G1[1])
+    assert curve._F1.endo == (beta, lam)
+    assert curve._F2.endo is None
+
+
+def test_g1_glv_split_gives_short_halves():
+    import random
+    rng = random.Random(6)
+    n, lam = curve.N, curve._LAMBDA
+    for k in [0, 1, lam, n - lam, n - 1, 2**255 % n] + [rng.randrange(n) for _ in range(1000)]:
+        k1, k2 = ec._split(curve._F1, k)
+        assert (k1 + k2 * lam - k) % n == 0
+        assert abs(k1) < 2**129 and abs(k2) < 2**129
+
+
+def test_short_scalars_build_no_table(monkeypatch):
+    """Horner steps multiply by indices 1..n: no odd-multiple table, so
+    the one inversion is the final conversion to affine."""
+    other = curve.g2_mul(curve.G2, 12345)
+    inversions = [0]
+    inv = curve._F2.inv
+
+    def counted(x):
+        inversions[0] += 1
+        return inv(x)
+
+    monkeypatch.setattr(curve._F2, "inv", counted)
+    for k in range(1, 11):
+        inversions[0] = 0
+        curve.g2_mul(other, k)
+        assert inversions[0] == 1
 
 
 def test_g2_generator_table_matches_double_and_add():

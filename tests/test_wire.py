@@ -176,6 +176,27 @@ def test_sign_recover_and_tamper():
     assert recover_signer(tampered) != key.address
 
 
+def test_signing_digest_kept_on_the_instance():
+    key = AccountKey.from_label("signer")
+    signed = sign_tx(make_root(subordinates=(make_subtx(),)), key)
+    unsigned = dataclasses.replace(signed, sig_v=None, sig_r=None, sig_s=None)
+    assert signing_digest(signed) == tx_hash(unsigned)
+    assert signing_digest(unsigned) == tx_hash(unsigned)
+    before = tx_hash.cache_info()
+    assert signing_digest(signed) == tx_hash(unsigned)  # read, not hashed again
+    assert tx_hash.cache_info().hits == before.hits + 1
+    assert tx_hash.cache_info().misses == before.misses
+    # a replaced copy derives its own digest
+    other = dataclasses.replace(signed, nonce=signed.nonce + 1)
+    assert "_signing_digest" not in vars(other)
+    assert signing_digest(other) == tx_hash(dataclasses.replace(unsigned, nonce=other.nonce))
+    assert signing_digest(other) != signing_digest(signed)
+    # equality and hashing ignore the kept digest
+    fresh = sign_tx(make_root(subordinates=(make_subtx(),)), key)
+    assert "_signing_digest" in vars(signed) and "_signing_digest" not in vars(fresh)
+    assert fresh == signed and hash(fresh) == hash(signed)
+
+
 def test_double_signing_rejected():
     key = AccountKey.from_label("signer")
     signed = sign_tx(make_root(), key)
