@@ -10,6 +10,8 @@ Scalar multiplication runs in Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3),
 Z == 0 being the point at infinity, so that it needs one inversion in
 all instead of one per group operation. Formulas for a = 0 from the
 Explicit-Formulas Database (hyperelliptic.org/EFD/g1p/auto-shortw-jacobian-0).
+They are the only group law: ``add`` is one mixed addition from Z = 1
+and one inversion back to affine.
 
 Every multiplication is one interleaved pass (Straus): a schedule lists
 the affine points to add at each step, and the accumulator doubles once
@@ -119,23 +121,13 @@ def neg(curve: Curve, pt):
 
 
 def add(curve: Curve, p1, p2):
-    """Affine addition; one field inversion."""
+    """Affine p1 + p2: the mixed Jacobian addition from Z = 1, then one
+    field inversion."""
     if p1 is None:
         return p2
     if p2 is None:
         return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if y1 != y2 or y1 == curve.zero:
-            return None
-        lam = curve.mul(curve.scale_int(curve.sqr(x1), 3),
-                        curve.inv(curve.scale_int(y1, 2)))
-    else:
-        lam = curve.mul(curve.sub(y2, y1), curve.inv(curve.sub(x2, x1)))
-    x3 = curve.sub(curve.sub(curve.sqr(lam), x1), x2)
-    y3 = curve.sub(curve.mul(lam, curve.sub(x1, x3)), y1)
-    return (x3, y3)
+    return _to_affine(curve, *_jac_add_affine(curve, p1[0], p1[1], curve.one, *p2))
 
 
 def _jac_double(curve: Curve, X1, Y1, Z1):

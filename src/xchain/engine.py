@@ -21,6 +21,17 @@ transaction is still started (transaction-not-active) and every view
 sidechain below has a registered key (pubkey-unavailable; both traced
 as status_checked).
 
+A refusal travels one way. Every check raises EngineError with a reason
+code and, for the originating flow's failure record, a detail; a ledger
+ExecutionError becomes an EngineError at the call that raised it. One
+except at each boundary reports it: a validator answers a signing or
+mining request with {"ok": False, "reason": ...} after tracing
+val:refuse_<kind>, a coordinator leaves its own share out of a signing
+round, and each flow records a failure. The originating flow then fails
+the handle (and ignores a started transaction), the subordinate flow
+sends subtx_error to the originating coordinator, and the view flow
+replies to its requester with a refused view_reply.
+
 The atomicity contract: for any fault schedule, the contracts finalized
 with a commit decision for one crosschain transaction are either all of
 its participating contracts or none of them, and every node's decision
@@ -56,7 +67,7 @@ from .simnet import (
     NodeCrashed,
     SimNet,
 )
-from .threshold import ThresholdConfig, get_scheme
+from .threshold import SignatureShare, ThresholdConfig, get_scheme
 from .wire import (
     CrosschainTransaction,
     CrosschainTxId,
@@ -135,8 +146,12 @@ def expected_crash_outcome(step: str) -> str:
 
 
 class EngineError(Exception):
+    """A refusal or failure: reason is its code, detail the payload of
+    the originating flow's failure record."""
+
     def __init__(self, reason: str, detail: str = ""):
         self.reason = reason
+        self.detail = detail
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
@@ -144,11 +159,18 @@ class BuildError(EngineError):
     pass
 
 
-class _Failed(Exception):
-    def __init__(self, reason: str, detail: str = ""):
-        self.reason = reason
-        self.detail = detail
-        super().__init__(reason)
+def _check(ok: bool, reason: str, detail: str = "") -> None:
+    """Refuse with reason unless ok holds."""
+    if not ok:
+        raise EngineError(reason, detail)
+
+
+def _common_signer(tx: CrosschainTransaction) -> bytes:
+    """The one account that signed every node of tx."""
+    try:
+        return wire.verify_common_signer(tx)
+    except wire.WireError:
+        raise EngineError(SIGNER_MISMATCH)
 
 
 # --- awaits yielded by coordinator flows ---------------------------------------
@@ -156,7 +178,8 @@ class _Failed(Exception):
 @dataclass
 class Collect:
     """Resume when every key has a value, when ``enough`` holds for the
-    values collected so far, or at the deadline. Keys are request ids,
+    values collected so far, or at the deadline; ``enough`` sees every
+    arrival, the one that completes the key set too. Keys are request ids,
     whose values are (sender, body) replies, or subordinate transaction
     hashes, whose values are ready or error message bodies."""
 
@@ -358,8 +381,8 @@ class ValidatorNode:
             return
         rec.collected[key] = value
         aw = rec.awaiting
-        if len(rec.collected) == len(aw.keys) or (
-                aw.enough is not None and aw.enough(rec.collected)):
+        if (aw.enough is not None and aw.enough(rec.collected)
+                or len(rec.collected) == len(aw.keys)):
             self._finish_await(rec)
 
     def on_timer(self, tag) -> None:
@@ -400,34 +423,27 @@ class ValidatorNode:
         return allowed is None or signer in allowed
 
     def _admit(self, tx: CrosschainTransaction, allowed: Optional[Set[bytes]],
-               flow: Optional[str] = None):
+               flow: Optional[str] = None) -> bytes:
         """The checks every validator repeats before it executes a
         subordinate transaction or view: one signer for the whole tree,
         the signer in ``allowed`` (None allows everyone), a trusted
         coordination contract, an active entry on it, and a registered
-        key for every view sidechain below. Returns (signer, None) or
-        (None, reason). With a flow name ("sub" or "view") it traces
-        that flow's permission_checked, trust_checked and
-        status_checked steps as each check passes."""
-        try:
-            signer = wire.verify_common_signer(tx)
-        except wire.WireError:
-            return None, SIGNER_MISMATCH
-        if allowed is not None and signer not in allowed:
-            return None, PERMISSION_DENIED
+        key for every view sidechain below. Returns the signer. With a
+        flow name ("sub" or "view") it traces that flow's
+        permission_checked, trust_checked and status_checked steps as
+        each check passes."""
+        signer = _common_signer(tx)
+        _check(allowed is None or signer in allowed, PERMISSION_DENIED)
         if flow:
             self.step(f"{flow}:permission_checked")
-        if not self._trusted(tx):
-            return None, UNTRUSTED_COORDINATION
+        _check(self._trusted(tx), UNTRUSTED_COORDINATION)
         if flow:
             self.step(f"{flow}:trust_checked")
-        if not self._tx_active(tx):
-            return None, TX_NOT_ACTIVE
-        if not self._pubkeys_available(tx, views_only=True):
-            return None, PUBKEY_UNAVAILABLE
+        _check(self._tx_active(tx), TX_NOT_ACTIVE)
+        _check(self._pubkeys_available(tx, views_only=True), PUBKEY_UNAVAILABLE)
         if flow:
             self.step(f"{flow}:status_checked")
-        return signer, None
+        return signer
 
     def _signed_by(self, chain: CoordinationChain, msg: ThresholdMessage,
                    signature) -> bool:
@@ -483,33 +499,49 @@ class ValidatorNode:
             return 0
 
     def _verify_view_results(self, tx: CrosschainTransaction, frame: CallFrame,
-                             view_results: dict) -> Optional[str]:
+                             view_results: dict) -> None:
         """Check signatures, hash binding and freshness of the collected
         subordinate view result messages for a frame."""
         chain = self._coordination_for(tx)
         for pos in frame.view_positions():
             packed = view_results.get(pos)
-            if packed is None:
-                return VIEW_FAILED
+            _check(packed is not None, VIEW_FAILED)
             vmsg, sig = packed
             expected = frame.expected[pos].subtree
-            if (vmsg.view_hash != wire.tx_hash(expected)
-                    or not self._signed_by(chain, vmsg, sig)):
-                return VIEW_RESULT_BAD_SIGNATURE
-            if self._stale(vmsg, self.world.sidechains[
-                    vmsg.executing_sidechain_id].block_number):
-                return STALE_VIEW_RESULT
+            _check(vmsg.view_hash == wire.tx_hash(expected)
+                   and self._signed_by(chain, vmsg, sig),
+                   VIEW_RESULT_BAD_SIGNATURE)
+            _check(not self._stale(vmsg, self.world.sidechains[
+                vmsg.executing_sidechain_id].block_number), STALE_VIEW_RESULT)
             frame.view_results[pos] = vmsg.result
-        return None
+
+    def _execute(self, tx: CrosschainTransaction, frame: CallFrame,
+                 signer: bytes):
+        """execute_local on this validator's ledger."""
+        try:
+            return self.state.execute_local(tx, frame, signer)
+        except ExecutionError as exc:
+            raise EngineError(exc.reason, str(exc))
+
+    def _read_view(self, view: CrosschainTransaction, frame: CallFrame,
+                   signer: bytes) -> bytes:
+        """read_view of a subordinate view on this validator's ledger."""
+        try:
+            return self.state.read_view(view.to, view.data, frame=frame,
+                                        caller=signer,
+                                        same_holder=LockHolder.of_tx(view))
+        except ExecutionError as exc:
+            raise EngineError(exc.reason)
 
     # -- validator: signing requests ------------------------------------------------
 
     def _on_sign_request(self, msg: Message) -> None:
         body = msg.body
-        verdict = self._sign_verdict(body)
-        if verdict is not None:
-            self.step(f"val:refuse_{body['kind']}", verdict)
-            self.reply(msg, "sign_reply", {"ok": False, "reason": verdict},
+        try:
+            self._vet_signing(body)
+        except EngineError as refusal:
+            self.step(f"val:refuse_{body['kind']}", refusal.reason)
+            self.reply(msg, "sign_reply", {"ok": False, "reason": refusal.reason},
                        latency=self.world.config.intra_latency)
             return
         partial = self.world.scheme.sign_share(self.key_share, body["payload"])
@@ -521,85 +553,62 @@ class ValidatorNode:
                    {"ok": True, "index": partial.index, "point": partial.point},
                    latency=self.world.config.intra_latency)
 
-    def _sign_verdict(self, body: dict) -> Optional[str]:
-        """None when this validator agrees to sign, else a reason."""
+    def _vet_signing(self, body: dict) -> None:
+        """Return when this validator agrees to sign, else refuse."""
         kind = body["kind"]
         payload = body["payload"]
         if kind in ("start", "commit", "ignore"):
             tx: CrosschainTransaction = body["tx"]
-            try:
-                signer = wire.verify_common_signer(tx)
-            except wire.WireError:
-                return SIGNER_MISMATCH
-            if not self._tx_permitted(signer):
-                return PERMISSION_DENIED
-            if not self._trusted(tx):
-                return UNTRUSTED_COORDINATION
+            _check(self._tx_permitted(_common_signer(tx)), PERMISSION_DENIED)
+            _check(self._trusted(tx), UNTRUSTED_COORDINATION)
             derived = self.world.derive_message(MessageKind[kind.upper()], tx)
-            if encode_message(derived) != payload:
-                return RESULT_MISMATCH
+            _check(encode_message(derived) == payload, RESULT_MISMATCH)
             if kind == "start":
-                if self.node_id in self.world.start_sign_refusals:
-                    return "refused-by-policy"
-                if tx.crosschain_timeout_blocks > self.sidechain.max_lock_horizon:
-                    return TIMEOUT_UNACCEPTABLE
-                if not self._pubkeys_available(tx):
-                    return PUBKEY_UNAVAILABLE
+                _check(self.node_id not in self.world.start_sign_refusals,
+                       "refused-by-policy")
+                _check(tx.crosschain_timeout_blocks <= self.sidechain.max_lock_horizon,
+                       TIMEOUT_UNACCEPTABLE)
+                _check(self._pubkeys_available(tx), PUBKEY_UNAVAILABLE)
             if kind == "commit":
                 readies: Dict[bytes, tuple] = body["readies"]
                 chain = self._coordination_for(tx)
                 for sub in tx.walk():
-                    if sub.tx_type is not TxType.SUBORDINATE_TX:
-                        continue
-                    packed = readies.get(wire.tx_hash(sub))
-                    if packed is None or not self._signed_by(chain, *packed):
-                        return READY_BAD_SIGNATURE
-            return None
-        if kind == "ready":
+                    if sub.tx_type is TxType.SUBORDINATE_TX:
+                        packed = readies.get(wire.tx_hash(sub))
+                        _check(packed is not None and self._signed_by(chain, *packed),
+                               READY_BAD_SIGNATURE)
+        elif kind == "ready":
             subtx: CrosschainTransaction = body["tx"]
-            if wire.tx_hash(subtx) not in self.sidechain.mined:
-                return NOT_MINED
+            _check(wire.tx_hash(subtx) in self.sidechain.mined, NOT_MINED)
             derived = self.world.derive_ready(subtx)
-            if encode_message(derived) != payload:
-                return RESULT_MISMATCH
-            return None
-        if kind == "view_result":
+            _check(encode_message(derived) == payload, RESULT_MISMATCH)
+        elif kind == "view_result":
             view: CrosschainTransaction = body["tx"]
-            signer, verdict = self._admit(view, self.sidechain.view_allowed)
-            if verdict is not None:
-                return verdict
+            signer = self._admit(view, self.sidechain.view_allowed)
             claimed: ThresholdMessage = body["result_message"]
-            if self._stale(claimed, self.sidechain.block_number):
-                return STALE_VIEW_RESULT
+            _check(not self._stale(claimed, self.sidechain.block_number),
+                   STALE_VIEW_RESULT)
             frame = CallFrame.for_tx(view)
-            verdict = self._verify_view_results(view, frame, body["view_results"])
-            if verdict is not None:
-                return verdict
-            try:
-                result = self.state.read_view(
-                    view.to, view.data, frame=frame,
-                    caller=signer, same_holder=LockHolder.of_tx(view))
-            except ExecutionError as exc:
-                return exc.reason
+            self._verify_view_results(view, frame, body["view_results"])
+            result = self._read_view(view, frame, signer)
             override = self.world.view_result_overrides.get(self.node_id)
             if override is not None:
                 result = override
-            if result != claimed.result:
-                return RESULT_MISMATCH
-            if encode_message(claimed) != payload:
-                return RESULT_MISMATCH
-            return None
-        return f"unknown-sign-kind-{kind}"
+            _check(result == claimed.result and encode_message(claimed) == payload,
+                   RESULT_MISMATCH)
+        else:
+            raise EngineError(f"unknown-sign-kind-{kind}")
 
     # -- validator: mining -------------------------------------------------------
 
     def _on_mine_request(self, msg: Message) -> None:
         body = msg.body
         tx: CrosschainTransaction = body["tx"]
-        verdict = self._mine_verdict(body)
-        if verdict is not None:
-            self.step("val:refuse_mine", verdict)
-            self.reply(msg, "mine_reply", {"ok": False, "reason": verdict},
+        try:
+            self._vet_mining(body)
+        except EngineError as refusal:
+            self.step("val:refuse_mine", refusal.reason)
+            self.reply(msg, "mine_reply", {"ok": False, "reason": refusal.reason},
                        latency=self.world.config.intra_latency)
             return
         # accepted: remember the context and arm the local resolve timer
@@ -608,34 +617,23 @@ class ValidatorNode:
         self.reply(msg, "mine_reply", {"ok": True},
                    latency=self.world.config.intra_latency)
 
-    def _mine_verdict(self, body: dict) -> Optional[str]:
+    def _vet_mining(self, body: dict) -> None:
+        """Return when this validator agrees to mine, else refuse."""
         tx: CrosschainTransaction = body["tx"]
         if tx.tx_type is TxType.SUBORDINATE_TX:
             # fig-13 style checks happen at mining distribution for
             # subordinate transactions
-            signer, verdict = self._admit(tx, self.sidechain.tx_allowed)
-            if verdict is not None:
-                return verdict
+            signer = self._admit(tx, self.sidechain.tx_allowed)
             remaining = self._entry_timeout_block(tx) - self._coordination_for(tx).block_number
-            if remaining > self.sidechain.max_lock_horizon:
-                return TIMEOUT_UNACCEPTABLE
+            _check(remaining <= self.sidechain.max_lock_horizon, TIMEOUT_UNACCEPTABLE)
         else:
-            try:
-                signer = wire.verify_common_signer(tx)
-            except wire.WireError:
-                return SIGNER_MISMATCH
+            signer = _common_signer(tx)
         frame = CallFrame.for_tx(tx)
-        verdict = self._verify_view_results(tx, frame, body["view_results"])
-        if verdict is not None:
-            return verdict
-        try:
-            outcome = self.state.execute_local(tx, frame, signer)
-        except ExecutionError as exc:
-            return exc.reason
-        if outcome.overlay.storage_delta != body["overlay"].storage_delta \
-                or outcome.overlay.balance_deltas != body["overlay"].balance_deltas:
-            return RESULT_MISMATCH
-        return None
+        self._verify_view_results(tx, frame, body["view_results"])
+        overlay = self._execute(tx, frame, signer).overlay
+        _check(overlay.storage_delta == body["overlay"].storage_delta
+               and overlay.balance_deltas == body["overlay"].balance_deltas,
+               RESULT_MISMATCH)
 
     def _register_context(self, tx: CrosschainTransaction) -> None:
         key = (tx.crosschain_tx_id, tx.originating_sidechain_id)
@@ -723,10 +721,11 @@ class ValidatorNode:
         # (request id, share); the own share has no request id and is
         # never checked on its own
         own = []
-        own_verdict = self._sign_verdict({**context, "kind": kind,
-                                          "payload": payload})
-        if own_verdict is None:
+        try:
+            self._vet_signing({**context, "kind": kind, "payload": payload})
             own.append((None, scheme.sign_share(self.key_share, payload)))
+        except EngineError:
+            pass  # refused: the round needs m remote shares
         req_ids = set()
         for validator in self.sidechain.validators:
             if validator is self:
@@ -751,7 +750,7 @@ class ValidatorNode:
         def _signed(replies) -> bool:
             nonlocal signature, combined_failed
             shares = own + [
-                (rid, self.world.scheme_share(body["index"], body["point"]))
+                (rid, SignatureShare(index=body["index"], point=body["point"]))
                 for rid, (_, body) in replies.items() if body.get("ok")]
             if len(shares) < config.m:
                 return False
@@ -769,14 +768,12 @@ class ValidatorNode:
             signature = scheme.combine(valid[:config.m], config)
             return True
 
-        replies = yield Collect(
+        if not req_ids:
+            _signed({})  # a lone validator: no reply will call ``enough``
+        yield Collect(
             keys=req_ids,
             deadline=self.net.tick + self.world.config.signing_round_timeout,
             enough=_signed)
-        if signature is None:
-            # Collect does not call ``enough`` on the reply that
-            # completes the key set
-            _signed(replies)
         return signature
 
     # -- coordination submissions ----------------------------------------------------
@@ -800,17 +797,16 @@ class ValidatorNode:
     def _gather_views(self, mn: "MultichainNode", tx: CrosschainTransaction,
                       frame: CallFrame, deadline: int):
         """Dispatch the depth-1 subordinate views of tx, collect their
-        signed results and verify them into frame. Returns
-        (view_results dict, None) or (None, failure reason)."""
+        signed results and verify them into frame. Returns the results
+        by call position."""
         positions = frame.view_positions()
         if not positions:
-            return {}, None
+            return {}
         rid_to_pos = {}
         for pos in positions:
             child = frame.expected[pos].subtree
             target = mn.members.get(child.target_sidechain_id)
-            if target is None:
-                return None, MISSING_SIDECHAIN
+            _check(target is not None, MISSING_SIDECHAIN)
             rid = self.request(target.node_id, "process_view",
                                {"tx": child, "multichain": mn.name},
                                latency=self.world.config.cross_latency)
@@ -818,16 +814,30 @@ class ValidatorNode:
         replies = yield Collect(keys=set(rid_to_pos), deadline=deadline)
         results = {}
         for rid, pos in rid_to_pos.items():
-            if rid not in replies:
-                return None, VIEW_FAILED
+            _check(rid in replies, VIEW_FAILED)
             _, body = replies[rid]
-            if not body.get("ok"):
-                return None, body.get("reason", VIEW_FAILED)
+            _check(body.get("ok"), body.get("reason", VIEW_FAILED))
             results[pos] = (body["message"], body["signature"])
-        verdict = self._verify_view_results(tx, frame, results)
-        if verdict is not None:
-            return None, verdict
-        return results, None
+        self._verify_view_results(tx, frame, results)
+        return results
+
+    # -- views, execution and mining (originating and subordinate flows) -----------
+
+    def _execute_and_mine(self, flow: str, mn: "MultichainNode",
+                          tx: CrosschainTransaction, signer: bytes,
+                          deadline: int):
+        """Gather tx's subordinate views, execute it on the local replica
+        and mine it, tracing {flow}:views_dispatched, views_collected,
+        executed and mined; returns the call frame."""
+        frame = CallFrame.for_tx(tx)
+        self.step(f"{flow}:views_dispatched")
+        view_results = yield from self._gather_views(mn, tx, frame, deadline)
+        self.step(f"{flow}:views_collected")
+        outcome = self._execute(tx, frame, signer)
+        self.step(f"{flow}:executed")
+        yield from self._mine_round(tx, frame, view_results, outcome)
+        self.step(f"{flow}:mined")
+        return frame
 
     # -- mining round -------------------------------------------------------------
 
@@ -853,17 +863,16 @@ class ValidatorNode:
             keys=req_ids,
             deadline=self.net.tick + self.world.config.signing_round_timeout,
             enough=lambda rs: _accepted(rs) >= config.m)
-        total = _accepted(replies)
-        if total < config.m:
+        if _accepted(replies) < config.m:
             reasons = [b.get("reason") for _, b in replies.values() if not b.get("ok")]
-            return reasons[0] if reasons else MINING_REJECTED
+            raise EngineError(reasons[0] if reasons else MINING_REJECTED)
         try:
             # inclusion in the chain: lock the contract with the overlay
             # attached; a racing transaction may have taken the lock
             # since this one was validated
             self.state.lock(tx.to, LockHolder.of_tx(tx), outcome.overlay)
         except ExecutionError as exc:
-            return exc.reason
+            raise EngineError(exc.reason)
         signer = wire.recover_signer(tx)
         self.state.nonces[signer] = tx.nonce + 1
         self.sidechain.mined.add(wire.tx_hash(tx))
@@ -871,7 +880,6 @@ class ValidatorNode:
                          sidechain=self.sidechain.sidechain_id, contract=tx.to,
                          tx_hash=wire.tx_hash(tx))
         self.net.record(self.node_id, "lock", f"locked:{tx.to.hex()[:8]}")
-        return None
 
     # -- originating transaction flow ----------------------------------------------
 
@@ -888,59 +896,35 @@ class ValidatorNode:
             try:
                 signer = wire.recover_signer(tx)
             except wire.WireError:
-                raise _Failed(SIGNER_MISMATCH)
-            if not self._tx_permitted(signer):
-                raise _Failed(PERMISSION_DENIED)
+                raise EngineError(SIGNER_MISMATCH)
+            _check(self._tx_permitted(signer), PERMISSION_DENIED)
             self.step("orig:permission_checked")
-            if not self._trusted(tx) or not mn.trusts(
-                    tx.coordination_blockchain_id, tx.coordination_contract_address):
-                raise _Failed(UNTRUSTED_COORDINATION)
+            _check(self._trusted(tx) and mn.trusts(
+                tx.coordination_blockchain_id, tx.coordination_contract_address),
+                UNTRUSTED_COORDINATION)
             self.step("orig:trust_checked")
             for node in tx.walk():
                 chain_id = node.execution_sidechain_id
                 if chain_id not in mn.members or chain_id not in self.world.sidechains:
-                    raise _Failed(MISSING_SIDECHAIN, chain_id.short())
+                    raise EngineError(MISSING_SIDECHAIN, chain_id.short())
             self.step("orig:coverage_checked")
-            try:
-                wire.verify_common_signer(tx)
-            except wire.WireError:
-                raise _Failed(SIGNER_MISMATCH)
+            _common_signer(tx)
             self.step("orig:signer_checked")
-            if not self._pubkeys_available(tx):
-                raise _Failed(PUBKEY_UNAVAILABLE)
+            _check(self._pubkeys_available(tx), PUBKEY_UNAVAILABLE)
             self.step("orig:pubkeys_fetched")
 
             start_msg = self.world.derive_message(MessageKind.START, tx)
             start_sig = yield from self._threshold_round(
                 "start", encode_message(start_msg), {"tx": tx})
-            if start_sig is None:
-                raise _Failed(START_SIGNING_FAILED)
+            _check(start_sig is not None, START_SIGNING_FAILED)
             self.step("orig:start_signed")
             result = yield from self._submit(tx, "start", start_msg, start_sig)
-            if not result.get("ok"):
-                raise _Failed(START_REJECTED, result.get("error", ""))
+            _check(result.get("ok"), START_REJECTED, result.get("error", ""))
             started = True
             self.step("orig:start_submitted")
 
             deadline = self._global_deadline(tx)
-            frame = CallFrame.for_tx(tx)
-            self.step("orig:views_dispatched")
-            view_results, failure = yield from self._gather_views(
-                mn, tx, frame, deadline)
-            if failure is not None:
-                raise _Failed(failure)
-            self.step("orig:views_collected")
-
-            try:
-                outcome = self.state.execute_local(tx, frame, signer)
-            except ExecutionError as exc:
-                raise _Failed(exc.reason, str(exc))
-            self.step("orig:executed")
-            mining_failure = yield from self._mine_round(
-                tx, frame, view_results, outcome)
-            if mining_failure is not None:
-                raise _Failed(mining_failure)
-            self.step("orig:mined")
+            frame = yield from self._execute_and_mine("orig", mn, tx, signer, deadline)
 
             # legs are dispatched in the order the call graph executed
             # them; each leg's whole subtree must report ready before the
@@ -962,22 +946,19 @@ class ValidatorNode:
                 # the first error in arrival order decides the reason
                 errors = [b for b in collected.values() if not b.get("ok")]
                 if errors:
-                    raise _Failed(SUBORDINATE_FAILED, errors[0].get("reason", ""))
+                    raise EngineError(SUBORDINATE_FAILED, errors[0].get("reason", ""))
                 for h in leg_hashes:
                     body = collected.get(h)
-                    if body is None:
-                        raise _Failed(READY_TIMEOUT)
+                    _check(body is not None, READY_TIMEOUT)
                     readies[h] = (body["message"], body["signature"])
-                    if not self._signed_by(chain, *readies[h]):
-                        raise _Failed(READY_BAD_SIGNATURE)
+                    _check(self._signed_by(chain, *readies[h]), READY_BAD_SIGNATURE)
             self.step("orig:ready_collected")
 
             commit_msg = self.world.derive_message(MessageKind.COMMIT, tx)
             commit_sig = yield from self._threshold_round(
                 "commit", encode_message(commit_msg),
                 {"tx": tx, "readies": readies})
-            if commit_sig is None:
-                raise _Failed(COMMIT_SIGNING_FAILED)
+            _check(commit_sig is not None, COMMIT_SIGNING_FAILED)
             self.step("orig:commit_signed")
             result = yield from self._submit(tx, "commit", commit_msg, commit_sig)
             if not result.get("ok"):
@@ -992,14 +973,14 @@ class ValidatorNode:
                     yield from self._ignore_flow(mn, tx)
                 while chain.status_of(*key) is EffectiveStatus.STARTED:
                     yield Sleep(max(deadline - self.net.tick, 1))
-                if chain.status_of(*key) is not EffectiveStatus.COMMITTED:
-                    raise _Failed(COMMIT_REJECTED, result.get("error", ""))
+                _check(chain.status_of(*key) is EffectiveStatus.COMMITTED,
+                       COMMIT_REJECTED, result.get("error", ""))
             self.step("orig:commit_submitted")
 
             self._broadcast_check(mn, tx)
             self.step("orig:check_broadcast")
             handle.outcome = ("committed",)
-        except _Failed as failure:
+        except EngineError as failure:
             self.net.record(self.node_id, "failure", failure.reason,
                             failure.detail)
             handle.outcome = ("failed", failure.reason)
@@ -1050,55 +1031,36 @@ class ValidatorNode:
         mn = self.world.multichain_nodes[msg.body["multichain"]]
         orig_coordinator = mn.members[tx.originating_sidechain_id]
         cfg = self.world.config
-
-        def fail(reason: str):
-            self.net.record(self.node_id, "failure", reason)
-            self.send(orig_coordinator.node_id, "subtx_error",
-                      {"ok": False, "tx_hash": wire.tx_hash(tx), "reason": reason},
-                      latency=cfg.cross_latency)
-
-        self.step("sub:received", tx.crosschain_tx_id)
-        signer, failure = self._admit(tx, self.sidechain.tx_allowed, "sub")
-        if failure is not None:
-            return fail(failure)
-
-        deadline = self._global_deadline(tx)
-        frame = CallFrame.for_tx(tx)
-        self.step("sub:views_dispatched")
-        view_results, failure = yield from self._gather_views(mn, tx, frame, deadline)
-        if failure is not None:
-            return fail(failure)
-        self.step("sub:views_collected")
-
         try:
-            outcome = self.state.execute_local(tx, frame, signer)
-        except ExecutionError as exc:
-            return fail(exc.reason)
-        self.step("sub:executed")
-        mining_failure = yield from self._mine_round(tx, frame, view_results, outcome)
-        if mining_failure is not None:
-            return fail(mining_failure)
-        self.step("sub:mined")
+            self.step("sub:received", tx.crosschain_tx_id)
+            signer = self._admit(tx, self.sidechain.tx_allowed, "sub")
+            frame = yield from self._execute_and_mine(
+                "sub", mn, tx, signer, self._global_deadline(tx))
 
-        ready_msg = self.world.derive_ready(tx)
-        ready_sig = yield from self._threshold_round(
-            "ready", encode_message(ready_msg), {"tx": tx})
-        if ready_sig is None:
-            return fail(READY_SIGNING_FAILED)
-        self.step("sub:ready_signed")
+            ready_msg = self.world.derive_ready(tx)
+            ready_sig = yield from self._threshold_round(
+                "ready", encode_message(ready_msg), {"tx": tx})
+            _check(ready_sig is not None, READY_SIGNING_FAILED)
+            self.step("sub:ready_signed")
 
-        for pos in frame.tx_positions():
-            child = frame.expected[pos].subtree
-            target = mn.members.get(child.target_sidechain_id)
-            self.send(target.node_id, "process_subtx",
-                      {"tx": child, "multichain": mn.name},
+            for pos in frame.tx_positions():
+                child = frame.expected[pos].subtree
+                target = mn.members.get(child.target_sidechain_id)
+                self.send(target.node_id, "process_subtx",
+                          {"tx": child, "multichain": mn.name},
+                          latency=cfg.cross_latency)
+            self.step("sub:children_dispatched")
+
+            self.send(orig_coordinator.node_id, "subtx_ready",
+                      {"ok": True, "message": ready_msg, "signature": ready_sig},
                       latency=cfg.cross_latency)
-        self.step("sub:children_dispatched")
-
-        self.send(orig_coordinator.node_id, "subtx_ready",
-                  {"ok": True, "message": ready_msg, "signature": ready_sig},
-                  latency=cfg.cross_latency)
-        self.step("sub:ready_sent")
+            self.step("sub:ready_sent")
+        except EngineError as failure:
+            self.net.record(self.node_id, "failure", failure.reason)
+            self.send(orig_coordinator.node_id, "subtx_error",
+                      {"ok": False, "tx_hash": wire.tx_hash(tx),
+                       "reason": failure.reason},
+                      latency=cfg.cross_latency)
 
     # -- subordinate view flow ----------------------------------------------------
 
@@ -1106,52 +1068,39 @@ class ValidatorNode:
         view: CrosschainTransaction = msg.body["tx"]
         mn = self.world.multichain_nodes[msg.body["multichain"]]
         cfg = self.world.config
-
-        def refuse(reason: str):
-            self.net.record(self.node_id, "failure", reason)
-            self.reply(msg, "view_reply", {"ok": False, "reason": reason},
-                       latency=cfg.cross_latency)
-
-        self.step("view:received", view.crosschain_tx_id)
-        signer, failure = self._admit(view, self.sidechain.view_allowed, "view")
-        if failure is not None:
-            return refuse(failure)
-
-        deadline = self._global_deadline(view)
-        frame = CallFrame.for_tx(view)
-        view_results, failure = yield from self._gather_views(mn, view, frame, deadline)
-        if failure is not None:
-            return refuse(failure)
-        self.step("view:children_collected")
-
         try:
-            result = self.state.read_view(
-                view.to, view.data, frame=frame, caller=signer,
-                same_holder=LockHolder.of_tx(view))
-        except ExecutionError as exc:
-            return refuse(exc.reason)
-        self.step("view:executed")
+            self.step("view:received", view.crosschain_tx_id)
+            signer = self._admit(view, self.sidechain.view_allowed, "view")
+            frame = CallFrame.for_tx(view)
+            view_results = yield from self._gather_views(
+                mn, view, frame, self._global_deadline(view))
+            self.step("view:children_collected")
+            result = self._read_view(view, frame, signer)
+            self.step("view:executed")
 
-        result_msg = ThresholdMessage(
-            kind=MessageKind.SUBORDINATE_VIEW_RESULT,
-            originating_sidechain_id=view.originating_sidechain_id,
-            crosschain_tx_id=view.crosschain_tx_id,
-            coordination_blockchain_id=view.coordination_blockchain_id,
-            coordination_contract_address=view.coordination_contract_address,
-            executing_sidechain_id=self.sidechain.sidechain_id,
-            block_number=self.sidechain.block_number,
-            view_hash=wire.tx_hash(view),
-            result=result)
-        sig = yield from self._threshold_round(
-            "view_result", encode_message(result_msg),
-            {"tx": view, "view_results": view_results,
-             "result_message": result_msg})
-        if sig is None:
-            return refuse(VIEW_SIGNING_FAILED)
-        self.step("view:result_signed")
-        self.reply(msg, "view_reply",
-                   {"ok": True, "message": result_msg, "signature": sig},
-                   latency=cfg.cross_latency)
+            result_msg = ThresholdMessage(
+                kind=MessageKind.SUBORDINATE_VIEW_RESULT,
+                originating_sidechain_id=view.originating_sidechain_id,
+                crosschain_tx_id=view.crosschain_tx_id,
+                coordination_blockchain_id=view.coordination_blockchain_id,
+                coordination_contract_address=view.coordination_contract_address,
+                executing_sidechain_id=self.sidechain.sidechain_id,
+                block_number=self.sidechain.block_number,
+                view_hash=wire.tx_hash(view),
+                result=result)
+            sig = yield from self._threshold_round(
+                "view_result", encode_message(result_msg),
+                {"tx": view, "view_results": view_results,
+                 "result_message": result_msg})
+            _check(sig is not None, VIEW_SIGNING_FAILED)
+            self.step("view:result_signed")
+            self.reply(msg, "view_reply",
+                       {"ok": True, "message": result_msg, "signature": sig},
+                       latency=cfg.cross_latency)
+        except EngineError as refusal:
+            self.net.record(self.node_id, "failure", refusal.reason)
+            self.reply(msg, "view_reply", {"ok": False, "reason": refusal.reason},
+                       latency=cfg.cross_latency)
 
 
 @lru_cache(maxsize=256)
@@ -1344,10 +1293,6 @@ class World:
               latency: Optional[int] = None) -> None:
         self.net.send(Message(sender, msg.sender, mtype, body,
                               reply_to=msg.req_id), latency=latency)
-
-    def scheme_share(self, index: int, point):
-        from .threshold import SignatureShare
-        return SignatureShare(index=index, point=point)
 
     def _fault_armed(self, spec: FaultSpec) -> None:
         if spec.kind == REMOVE_VALIDATOR and spec.node:

@@ -646,7 +646,8 @@ def build_sweep_cells(scenario: Scenario, fault_kinds: List[str]) -> List[SweepC
     """Enumerate sweep cells against the scenario's first crosschain
     transaction: coordinator crash points for every protocol step on the
     originating, subordinate and view sidechains, validator crashes, and
-    message drops."""
+    message drops. A drop of subtx_ready or view_reply is swept only when
+    the transaction has a subordinate transaction or view to send it."""
     probe = _Runner(scenario.doc, scenario.seed, [], None)
     probe.build()
     world = probe.world
@@ -715,14 +716,16 @@ def build_sweep_cells(scenario: Scenario, fault_kinds: List[str]) -> List[SweepC
             name="drop:check_coordination",
             faults=[FaultSpec(kind="drop_message", mtype="check_coordination")],
             expected="committed"))
-        cells.append(SweepCell(
-            name="drop:subtx_ready",
-            faults=[FaultSpec(kind="drop_message", mtype="subtx_ready")],
-            expected="not_committed"))
-        cells.append(SweepCell(
-            name="drop:view_reply",
-            faults=[FaultSpec(kind="drop_message", mtype="view_reply")],
-            expected="not_committed"))
+        if sub_chains:
+            cells.append(SweepCell(
+                name="drop:subtx_ready",
+                faults=[FaultSpec(kind="drop_message", mtype="subtx_ready")],
+                expected="not_committed"))
+        if view_chains:
+            cells.append(SweepCell(
+                name="drop:view_reply",
+                faults=[FaultSpec(kind="drop_message", mtype="view_reply")],
+                expected="not_committed"))
         cells.append(SweepCell(
             name="drop:submit_reply",
             faults=[FaultSpec(kind="drop_message", mtype="submit_reply")],

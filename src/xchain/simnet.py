@@ -76,6 +76,18 @@ class _ArmedFault:
             return False
         return True
 
+    def use(self) -> None:
+        if self.remaining is not None:
+            self.remaining -= 1
+
+    def matches(self, msg: "Message") -> bool:
+        """msg passes this drop or delay fault's mtype, link and node
+        filters."""
+        spec = self.spec
+        return ((spec.mtype is None or spec.mtype == msg.mtype)
+                and (spec.link is None or spec.link == (msg.sender, msg.recipient))
+                and (spec.node is None or spec.node in (msg.sender, msg.recipient)))
+
 
 @dataclass(frozen=True)
 class Message:
@@ -313,8 +325,14 @@ class SimNet:
             self.record(node_id, "crash", "node-crashed")
 
     def is_fault_active(self, kind: str, node_id: str) -> bool:
-        return any(f.spec.kind == kind and f.spec.node == node_id
-                   and f.active(self.tick) for f in self._faults)
+        """Whether a fault of this kind applies to node_id now; a hit
+        uses up one of the fault's ``count`` applications."""
+        for armed in self._faults:
+            if (armed.spec.kind == kind and armed.spec.node == node_id
+                    and armed.active(self.tick)):
+                armed.use()
+                return True
+        return False
 
     def step(self, node_id: str, reason: str, payload=None) -> None:
         """Protocol-step hook: traces the step, arms step-triggered
@@ -340,31 +358,18 @@ class SimNet:
                 if ((msg.sender in a and msg.recipient in b)
                         or (msg.sender in b and msg.recipient in a)):
                     return "partitioned"
-            elif spec.kind == DROP_MESSAGE:
-                if spec.mtype is not None and spec.mtype != msg.mtype:
-                    continue
-                if spec.link is not None and spec.link != (msg.sender, msg.recipient):
-                    continue
-                if spec.node is not None and spec.node not in (msg.sender, msg.recipient):
-                    continue
-                if armed.remaining is not None:
-                    armed.remaining -= 1
+            elif spec.kind == DROP_MESSAGE and armed.matches(msg):
+                armed.use()
                 return "dropped"
         return None
 
     def _message_delay(self, msg: Message) -> int:
         extra = 0
         for armed in self._faults:
-            spec = armed.spec
-            if spec.kind != DELAY_MESSAGE or not armed.active(self.tick):
-                continue
-            if spec.mtype is not None and spec.mtype != msg.mtype:
-                continue
-            if spec.node is not None and spec.node not in (msg.sender, msg.recipient):
-                continue
-            if armed.remaining is not None:
-                armed.remaining -= 1
-            extra += spec.extra_delay
+            if (armed.spec.kind == DELAY_MESSAGE and armed.active(self.tick)
+                    and armed.matches(msg)):
+                armed.use()
+                extra += armed.spec.extra_delay
         return extra
 
     # -- scheduling ---------------------------------------------------------

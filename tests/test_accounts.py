@@ -78,6 +78,11 @@ def test_scalar_mul_matches_affine_addition():
     assert ec.mul(accounts._CURVE, gen, N + 1) == gen
     rng = random.Random(15)
     other = public_key(rng.randrange(1, N))
+    # ec.add itself: sums, doublings, inverses and infinity
+    pts = [None, gen, (gen[0], P - gen[1]), other, public_key(2)]
+    for a in pts:
+        for b in pts:
+            assert ec.add(accounts._CURVE, a, b) == affine_add(a, b)
     for pt in (gen, other):
         for k in list(GLV_SCALARS) + [rng.randrange(N) for _ in range(20)]:
             assert ec.mul(accounts._CURVE, pt, k) == double_and_add(pt, k)

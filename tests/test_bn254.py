@@ -25,6 +25,33 @@ def test_generators_valid():
     assert curve.g2_mul(curve.G2, curve.N) is None
 
 
+def _affine_add(field, p1, p2):
+    """Reference addition over field (an ``ec.Curve``): the chord and
+    tangent law, one inversion per add."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    (x1, y1), (x2, y2) = p1, p2
+    if x1 == x2:
+        if y1 != y2 or y1 == field.zero:
+            return None
+        lam = field.mul(field.scale_int(field.sqr(x1), 3),
+                        field.inv(field.scale_int(y1, 2)))
+    else:
+        lam = field.mul(field.sub(y2, y1), field.inv(field.sub(x2, x1)))
+    x3 = field.sub(field.sub(field.sqr(lam), x1), x2)
+    return (x3, field.sub(field.mul(lam, field.sub(x1, x3)), y1))
+
+
+def _g1_ref_add(p1, p2):
+    return _affine_add(curve._F1, p1, p2)
+
+
+def _g2_ref_add(p1, p2):
+    return _affine_add(curve._F2, p1, p2)
+
+
 def test_group_law():
     p2 = curve.g1_add(curve.G1, curve.G1)
     p3 = curve.g1_add(p2, curve.G1)
@@ -33,6 +60,14 @@ def test_group_law():
     q2 = curve.g2_add(curve.G2, curve.G2)
     assert q2 == curve.g2_mul(curve.G2, 2)
     assert curve.g2_add(q2, curve.g2_neg(q2)) is None
+    # against the reference law: sums, doublings, inverses and infinity
+    for add, ref, mul, neg, gen in (
+            (curve.g1_add, _g1_ref_add, curve.g1_mul, curve.g1_neg, curve.G1),
+            (curve.g2_add, _g2_ref_add, curve.g2_mul, curve.g2_neg, curve.G2)):
+        pts = [None, gen, neg(gen), mul(gen, 2), mul(gen, 2**200 + 7)]
+        for a in pts:
+            for b in pts:
+                assert add(a, b) == ref(a, b)
 
 
 def _double_and_add(add, pt, k):
@@ -48,8 +83,8 @@ def _double_and_add(add, pt, k):
 
 
 @pytest.mark.parametrize("mul,add,neg,gen", [
-    (curve.g1_mul, curve.g1_add, curve.g1_neg, curve.G1),
-    (curve.g2_mul, curve.g2_add, curve.g2_neg, curve.G2),
+    (curve.g1_mul, _g1_ref_add, curve.g1_neg, curve.G1),
+    (curve.g2_mul, _g2_ref_add, curve.g2_neg, curve.G2),
 ], ids=["g1", "g2"])
 def test_scalar_mul_matches_affine_addition(mul, add, neg, gen):
     acc = None
@@ -78,7 +113,7 @@ def test_g1_endomorphism_constants():
     beta, lam = curve._BETA, curve._LAMBDA
     assert pow(beta, 3, curve.P) == 1 and beta != 1
     assert (lam * lam + lam + 1) % curve.N == 0
-    assert _double_and_add(curve.g1_add, curve.G1, lam) == (beta * curve.G1[0] % curve.P,
+    assert _double_and_add(_g1_ref_add, curve.G1, lam) == (beta * curve.G1[0] % curve.P,
                                                            curve.G1[1])
     assert curve._F1.endo == (beta, lam)
     assert curve._F2.endo is None

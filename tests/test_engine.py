@@ -21,13 +21,14 @@ from xchain.sidechain import (
     LockedViewPolicy,
     ProvisionalOverlay,
 )
-from xchain.simnet import FaultSpec, Message
+from xchain.simnet import FaultSpec, Message, payload_digest
 from xchain.wire import (
     CrosschainTxId,
     SidechainId,
     TxType,
     encode_call,
     sign_tx,
+    tx_hash,
 )
 from xchain.accounts import AccountKey
 
@@ -256,6 +257,123 @@ def test_admission_restricted_on_one_sidechain(chain, attr, value, reason,
     member = mn.members[chain].node_id
     assert [r.reason for r in world.net.trace if r.node == member
             and r.kind in ("step", "failure")] == member_trace
+
+
+# --- failure exits ---------------------------------------------------------------------------
+
+def _foreign_lock(world, ref, chain, address):
+    world.sidechains[chain].state.lock(
+        address, LockHolder(crosschain_tx_id=CrosschainTxId(0xF00),
+                            originating_sidechain_id=SC2, coordination_ref=ref),
+        ProvisionalOverlay())
+
+
+def _corrupt_peer_shares(world, mn, chain):
+    for validator in world.sidechains[chain].validators:
+        if validator is not mn.members[chain]:
+            world.net.inject(FaultSpec(kind="corrupt_share",
+                                       node=validator.node_id, at_tick=0))
+
+
+def _lock_control_at_inclusion(world, mn, ref, contracts):
+    """A racing holder takes the control contract after SC1's peers
+    accepted the mining request, as their replies arrive."""
+    clean, clean_mn, clean_ref, clean_contracts = conditional_buy_world()
+    clean.submit_crosschain_tx(
+        "nodeA", build_purchase(clean, clean_mn, clean_ref, clean_contracts))
+    drain(clean)
+    executed = next(r.tick for r in clean.net.trace if r.reason == "orig:executed")
+    world.net.call_soon(
+        lambda: _foreign_lock(world, ref, SC1, contracts["control"]),
+        delay=executed + 2 * world.config.intra_latency)
+
+
+# setup(world, mn, ref, contracts) -> the submitting node's name or None;
+# the failure records as (member chain, reason, detail), where a None
+# detail is a record without payload; the error reply a member sends as
+# (member chain, message type, reason)
+_FAILURE_EXITS = [
+    pytest.param(
+        lambda w, mn, ref, c: setattr(w.sidechains[SC1], "tx_allowed", _OUTSIDER),
+        [(SC1, eng.PERMISSION_DENIED, "")], None, id="orig-admission"),
+    pytest.param(
+        lambda w, mn, ref, c: w.add_multichain_node("slim", [SC1, SC2]) and "slim",
+        [(SC1, eng.MISSING_SIDECHAIN, SC3.short())], None, id="orig-coverage"),
+    pytest.param(
+        lambda w, mn, ref, c: setattr(w.sidechains[SC1], "max_lock_horizon", 5),
+        [(SC1, eng.START_SIGNING_FAILED, "")], None, id="orig-signing"),
+    pytest.param(
+        lambda w, mn, ref, c: w.sidechains[SC2].state.contract_at(
+            c["oracle"]).storage.update({0: 150}),
+        [(SC1, "call-mismatch", "call-mismatch: only 1 of 2 signed calls emitted")],
+        None, id="orig-execution"),
+    pytest.param(
+        lambda w, mn, ref, c: w.net.inject(FaultSpec(
+            kind="drop_message", mtype="mine_reply", at_step="orig:executed")),
+        [(SC1, eng.MINING_REJECTED, "")], None, id="orig-mining"),
+    pytest.param(
+        _lock_control_at_inclusion,
+        [(SC1, "lock-contention", "")], None, id="orig-lock-at-inclusion"),
+    pytest.param(
+        lambda w, mn, ref, c: _foreign_lock(w, ref, SC2, c["oracle"]),
+        [(SC2, "view-of-locked-contract", None),
+         (SC1, "view-of-locked-contract", "")],
+        (SC2, "view_reply", "view-of-locked-contract"), id="view-execution"),
+    pytest.param(
+        lambda w, mn, ref, c: _corrupt_peer_shares(w, mn, SC2),
+        [(SC2, eng.VIEW_SIGNING_FAILED, None), (SC1, eng.VIEW_SIGNING_FAILED, "")],
+        (SC2, "view_reply", eng.VIEW_SIGNING_FAILED), id="view-signing"),
+    pytest.param(
+        lambda w, mn, ref, c: _foreign_lock(w, ref, SC3, c["commodity"]),
+        [(SC3, "lock-contention", None),
+         (SC1, eng.SUBORDINATE_FAILED, "lock-contention")],
+        (SC3, "subtx_error", "lock-contention"), id="sub-execution"),
+    pytest.param(
+        lambda w, mn, ref, c: setattr(w.sidechains[SC3], "max_lock_horizon", 5),
+        [(SC3, eng.TIMEOUT_UNACCEPTABLE, None),
+         (SC1, eng.SUBORDINATE_FAILED, eng.TIMEOUT_UNACCEPTABLE)],
+        (SC3, "subtx_error", eng.TIMEOUT_UNACCEPTABLE), id="sub-mining"),
+    pytest.param(
+        lambda w, mn, ref, c: _corrupt_peer_shares(w, mn, SC3),
+        [(SC3, eng.READY_SIGNING_FAILED, None),
+         (SC1, eng.SUBORDINATE_FAILED, eng.READY_SIGNING_FAILED)],
+        (SC3, "subtx_error", eng.READY_SIGNING_FAILED), id="sub-signing"),
+]
+
+
+@pytest.mark.parametrize("setup,failures,error_reply", _FAILURE_EXITS)
+def test_failure_exit_records(setup, failures, error_reply):
+    """Each failure exit of the three flows records its reason once. The
+    originating flow's record carries the detail as its payload: the
+    ledger's message for a failed execution, the missing sidechain, the
+    subordinate's reason, and nothing more for any other exit,
+    including a lock refused at inclusion. A subordinate or view
+    member's record carries no payload; its reason travels in the error
+    it sends."""
+    world, mn, ref, contracts = conditional_buy_world()
+    tx = build_purchase(world, mn, ref, contracts)
+    submitter = setup(world, mn, ref, contracts) or "nodeA"
+    handle = world.submit_crosschain_tx(submitter, tx)
+    drain(world)
+    members = world.multichain_nodes[submitter].members
+    assert [(r.node, r.reason, r.digest) for r in world.net.trace
+            if r.kind == "failure"] == [
+        (members[chain].node_id, reason, payload_digest(detail))
+        for chain, reason, detail in failures]
+    assert handle.outcome == ("failed", failures[-1][1])
+    assert world.atomicity_ok(tx.crosschain_tx_id)
+    sent = [(r.node, r.reason, r.digest) for r in world.net.trace
+            if r.kind == "send" and r.reason in ("subtx_error", "view_reply")]
+    if error_reply is None:
+        assert all(mtype == "view_reply" for _, mtype, _ in sent)
+        return
+    chain, mtype, reason = error_reply
+    body = {"ok": False, "reason": reason}
+    if mtype == "subtx_error":
+        sub = next(n for n in tx.walk() if n.tx_type is TxType.SUBORDINATE_TX)
+        body = {"ok": False, "tx_hash": tx_hash(sub), "reason": reason}
+    node = members[chain].node_id
+    assert [s for s in sent if s[0] == node] == [(node, mtype, payload_digest(body))]
 
 
 # --- locking behaviour ----------------------------------------------------------------
@@ -591,11 +709,33 @@ def test_shares_are_checked_one_by_one_only_after_a_combination_fails(monkeypatc
     assert handle.committed and corrupt.index in checked
 
 
-def test_round_signs_when_the_last_reply_completes_the_threshold():
+def test_round_signs_when_the_last_reply_completes_the_threshold(monkeypatch):
     # m = n = 2: the one remote reply completes the key set, and Collect
-    # does not call ``enough`` on that reply
+    # calls ``enough`` on that reply too
+    from xchain.threshold import ThresholdScheme
+    combined = []
+    combine = ThresholdScheme.combine
+
+    def counting(self, shares, config):
+        combined.append(len(shares))
+        return combine(self, shares, config)
+
+    monkeypatch.setattr(ThresholdScheme, "combine", counting)
     world, mn, ref, contracts = conditional_buy_world(validators=2)
     assert world.sidechains[SC1].threshold_config.m == 2
+    handle = world.submit_crosschain_tx(
+        "nodeA", build_purchase(world, mn, ref, contracts))
+    drain(world)
+    assert handle.committed
+    # one combination per round: start, view result, ready and commit
+    assert combined == [2, 2, 2, 2]
+
+
+def test_lone_validator_signs_with_its_own_share():
+    """A one-validator sidechain sends no signing request, so no reply
+    ever calls ``enough``: its own share is the signature."""
+    world, mn, ref, contracts = conditional_buy_world(validators=1,
+                                                      fault_tolerance=0)
     handle = world.submit_crosschain_tx(
         "nodeA", build_purchase(world, mn, ref, contracts))
     drain(world)

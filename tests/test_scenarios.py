@@ -110,6 +110,16 @@ def test_sweep_cells_cover_all_roles():
     assert any(n.startswith("remove:") for n in names)
 
 
+def test_atomic_swap_sweep_passes_every_cell():
+    """atomic_swap's transaction has subordinate transactions but no
+    view, so no cell drops a view_reply it never sends."""
+    from xchain.scenario import run_sweep
+    report = run_sweep(Scenario.load(str(SCENARIO_DIR / "atomic_swap.scn")))
+    names = [cell.name for cell, *_ in report.cells]
+    assert "drop:subtx_ready" in names and "drop:view_reply" not in names
+    assert [line for line in report.lines() if line.startswith("[FAIL]")] == []
+
+
 def _late_submissions(extra_delay, count):
     """Delays the next ``count`` submissions after the commit is signed."""
     return FaultSpec(kind="delay_message", mtype="submit", at_step="orig:commit_signed",

@@ -148,6 +148,26 @@ def test_delay_message_adds_latency():
     assert arrival["slow"] == 8
 
 
+def test_delay_message_honours_link():
+    net = SimNet(seed=1)
+    a = Recorder(net, "a")
+    b = Recorder(net, "b")
+    net.inject(FaultSpec(kind="delay_message", link=("a", "b"), extra_delay=7))
+    net.send(Message("a", "b", "m", {}), latency=1)
+    net.send(Message("b", "a", "m", {}), latency=1)
+    net.run_until_quiescent()
+    assert [m[0] for m in b.messages] == [8]
+    assert [m[0] for m in a.messages] == [1]  # b -> a keeps its latency
+
+
+def test_corrupt_share_honours_count():
+    net = SimNet(seed=1)
+    net.inject(FaultSpec(kind="corrupt_share", node="a", count=1))
+    assert not net.is_fault_active(simnet.CORRUPT_SHARE, "b")
+    assert [net.is_fault_active(simnet.CORRUPT_SHARE, "a")
+            for _ in range(3)] == [True, False, False]
+
+
 def test_block_clock_binding():
     class Chain:
         block_number = 0
