@@ -14,6 +14,12 @@ n). Recovery splits u2 into k1 + k2*lam with both halves of ~128 bits,
 so u2*R = k1*R + k2*phi(R) takes ~128 doublings instead of ~256, and
 phi(R)'s odd multiples are R's with x scaled by beta.
 
+A public key is hashed to its address once per process: ``address_of``
+and ``recover_digest`` share one memo of that hash, since the
+signatures a run recovers come from the few keys whose addresses it has
+already derived. ``recover_digest`` keeps its own memo of whole
+signatures, because validators re-verify the same transactions.
+
 The nonce k is derived deterministically by hashing (simulation grade,
 not RFC 6979 and not constant time). V is 27/28 and is never folded
 with a chain identifier; replay protection comes from the sidechain
@@ -35,7 +41,7 @@ _G = (_GX, _GY)
 # phi(x, y) = (beta * x, y) = lam * (x, y): beta^3 = 1 mod p, lam^3 = 1 mod n
 _BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
 _LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
-_CURVE = ec.prime_curve(_P, 7, _N, endo=(_BETA, _LAMBDA))
+_CURVE = ec.Curve(_P, 7, _N, endo=(_BETA, _LAMBDA))
 _G_BASE = ec.FixedBase(_CURVE, _G)
 
 
@@ -50,7 +56,13 @@ def public_key(private_key: int) -> Tuple[int, int]:
 
 
 def address_of(private_key: int) -> bytes:
-    x, y = public_key(private_key)
+    return _point_address(public_key(private_key))
+
+
+@lru_cache(maxsize=4096)
+def _point_address(point) -> bytes:
+    """keccak256(x || y)[12:] of a public key, hashed once per key."""
+    x, y = point
     return keccak256(x.to_bytes(32, "big") + y.to_bytes(32, "big"))[12:]
 
 
@@ -104,8 +116,7 @@ def recover_digest(digest: bytes, v: int, r: int, s: int) -> bytes:
     point = ec.joint_mul(_G_BASE, -z * r_inv, (r, y), s * r_inv)
     if point is None:
         raise SignatureError("signature recovers to the point at infinity")
-    x, py = point
-    return keccak256(x.to_bytes(32, "big") + py.to_bytes(32, "big"))[12:]
+    return _point_address(point)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,16 @@
 """One group law for the short-Weierstrass curves y^2 = x^3 + b (a = 0).
 
 secp256k1 (b = 7, account signatures), BN254 G1 (b = 3) and the BN254
-G2 twist (b = 3/xi over Fp2) are all such curves. A ``Curve`` is a table
-of the field's operations plus b and the group order, so the same code
-serves all three. Points are affine (x, y) tuples; None is the point at
-infinity.
+G2 twist (b = 3/xi over Fp2) are all such curves. A ``Curve`` holds only
+constants: the field modulus p, b, the group order, the field's one and
+the endomorphism if any. The formulas are written once in Python
+operators, so a field element is anything that supports them: ``+``,
+``-`` and ``*`` (also with a small int on the left), ``% p`` to reduce,
+``pow(x, -1, p)`` to invert, ``==`` on the representation (so that
+``x % p == x`` holds only for a reduced x), and truth for a nonzero
+reduced element. Ints serve Fp (secp256k1, BN254 G1); bn254's private
+``_Fp2`` class serves the twist. Points are affine (x, y) tuples; None
+is the point at infinity.
 
 Scalar multiplication runs in Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3),
 Z == 0 being the point at infinity, so that it needs one inversion in
@@ -48,33 +54,17 @@ Pure python, not constant time: simulation grade.
 
 
 class Curve:
-    """Field operation table and constants of one a = 0 curve.
+    """Constants of one a = 0 curve: the field modulus p, b, the group
+    order and the field's one, whose type sets that of every coordinate.
 
     ``endo`` is (beta, lam) where (beta * x, y) = lam * (x, y) on the
     whole group, or None; with it, ``basis`` holds two short vectors
     (a, b) with a + b * lam = 0 mod the order."""
 
-    def __init__(self, add, sub, mul, sqr, inv, neg, scale_int, zero, one, b, order,
-                 endo=None):
-        self.add, self.sub, self.mul, self.sqr = add, sub, mul, sqr
-        self.inv, self.neg, self.scale_int = inv, neg, scale_int
-        self.zero, self.one, self.b, self.order = zero, one, b, order
+    def __init__(self, p, b, order, one=1, endo=None):
+        self.p, self.b, self.order, self.one = p, b, order, one
         self.endo = endo
         self.basis = None if endo is None else _glv_basis(order, endo[1])
-
-
-def prime_curve(p: int, b: int, order: int, endo=None) -> Curve:
-    """y^2 = x^3 + b over the prime field F_p, with a group of this order."""
-    return Curve(
-        add=lambda x, y: (x + y) % p,
-        sub=lambda x, y: (x - y) % p,
-        mul=lambda x, y: x * y % p,
-        sqr=lambda x: x * x % p,
-        inv=lambda x: pow(x, -1, p),
-        neg=lambda x: (-x) % p,
-        scale_int=lambda x, k: x * k % p,
-        zero=0, one=1, b=b, order=order, endo=endo,
-    )
 
 
 def _glv_basis(n: int, lam: int):
@@ -108,16 +98,19 @@ def _split(curve: Curve, k: int):
 
 
 def on_curve(curve: Curve, pt) -> bool:
+    """pt is None or satisfies the curve equation with every coordinate
+    reduced, so that each point has one encoding."""
     if pt is None:
         return True
     x, y = pt
-    return curve.sqr(y) == curve.add(curve.mul(curve.sqr(x), x), curve.b)
+    p = curve.p
+    return x % p == x and y % p == y and not (y * y - x * x * x - curve.b) % p
 
 
 def neg(curve: Curve, pt):
     if pt is None:
         return None
-    return (pt[0], curve.neg(pt[1]))
+    return (pt[0], -pt[1] % curve.p)
 
 
 def add(curve: Curve, p1, p2):
@@ -131,69 +124,64 @@ def add(curve: Curve, p1, p2):
 
 
 def _jac_double(curve: Curve, X1, Y1, Z1):
-    """dbl-2009-l; a point at infinity or of order two doubles to Z3 == 0."""
-    add, sub, sqr, scale = curve.add, curve.sub, curve.sqr, curve.scale_int
-    A = sqr(X1)
-    B = sqr(Y1)
-    C = sqr(B)
-    D = sub(sub(sqr(add(X1, B)), A), C)
-    D = add(D, D)
-    E = scale(A, 3)
-    X3 = sub(sub(sqr(E), D), D)
-    Y3 = sub(curve.mul(E, sub(D, X3)), scale(C, 8))
-    Z3 = curve.mul(add(Y1, Y1), Z1)
-    return X3, Y3, Z3
+    """dbl-2009-l, with its D = 2((X1 + B)^2 - X1^2 - C) written as
+    4 X1 B; a point at infinity or of order two doubles to Z3 == 0."""
+    p = curve.p
+    B = Y1 * Y1 % p
+    C = B * B % p
+    D = 4 * X1 * B % p
+    E = 3 * (X1 * X1) % p
+    X3 = (E * E - 2 * D) % p
+    return X3, (E * (D - X3) - 8 * C) % p, 2 * Y1 * Z1 % p
 
 
 def _jac_add_affine(curve: Curve, X1, Y1, Z1, x2, y2):
-    """madd-2007-bl: Jacobian (X1, Y1, Z1) plus the affine point (x2, y2)."""
-    if Z1 == curve.zero:
+    """madd-2004-hmv: Jacobian (X1, Y1, Z1) plus the affine point (x2, y2).
+    Preferred to madd-2007-bl for its fewer operator calls (no 2r, 4HH
+    or 2 Z1 H): on Fp2 each call is a method dispatch."""
+    if not Z1:
         return x2, y2, curve.one
-    add, sub, mul, sqr = curve.add, curve.sub, curve.mul, curve.sqr
-    Z1Z1 = sqr(Z1)
-    H = sub(mul(x2, Z1Z1), X1)
-    r = sub(mul(y2, mul(Z1, Z1Z1)), Y1)
-    if H == curve.zero:
-        if r == curve.zero:
+    p = curve.p
+    Z1Z1 = Z1 * Z1 % p
+    H = (x2 * Z1Z1 - X1) % p
+    r = (y2 * Z1 * Z1Z1 - Y1) % p
+    if not H:
+        if not r:
             return _jac_double(curve, X1, Y1, Z1)
-        return curve.one, curve.one, curve.zero
-    r = add(r, r)
-    HH = sqr(H)
-    I = curve.scale_int(HH, 4)
-    J = mul(H, I)
-    V = mul(X1, I)
-    X3 = sub(sub(sub(sqr(r), J), V), V)
-    Y1J = mul(Y1, J)
-    Y3 = sub(sub(mul(r, sub(V, X3)), Y1J), Y1J)
-    Z3 = sub(sub(sqr(add(Z1, H)), Z1Z1), HH)
-    return X3, Y3, Z3
+        return curve.one, curve.one, H  # H is the field's zero: infinity
+    HH = H * H % p
+    HHH = H * HH % p
+    V = X1 * HH % p
+    X3 = (r * r - HHH - 2 * V) % p
+    return X3, (r * (V - X3) - Y1 * HHH) % p, Z1 * H % p
 
 
 def _to_affine(curve: Curve, X, Y, Z):
-    if Z == curve.zero:
+    if not Z:
         return None
-    z_inv = curve.inv(Z)
-    z_inv2 = curve.sqr(z_inv)
-    return curve.mul(X, z_inv2), curve.mul(curve.mul(Y, z_inv2), z_inv)
+    p = curve.p
+    z_inv = pow(Z, -1, p)
+    z_inv2 = z_inv * z_inv % p
+    return X * z_inv2 % p, Y * z_inv2 * z_inv % p
 
 
 def _batch_to_affine(curve: Curve, points):
     """Jacobian points, none at infinity, to affine with one inversion in
     all (Montgomery's trick)."""
-    mul = curve.mul
+    p = curve.p
     prefix = []
     acc = curve.one
     for _, _, Z in points:
         prefix.append(acc)
-        acc = mul(acc, Z)
-    acc_inv = curve.inv(acc)
+        acc = acc * Z % p
+    acc_inv = pow(acc, -1, p)
     out = [None] * len(points)
     for i in range(len(points) - 1, -1, -1):
         X, Y, Z = points[i]
-        z_inv = mul(acc_inv, prefix[i])
-        acc_inv = mul(acc_inv, Z)
-        z_inv2 = curve.sqr(z_inv)
-        out[i] = (mul(X, z_inv2), mul(mul(Y, z_inv2), z_inv))
+        z_inv = acc_inv * prefix[i] % p
+        acc_inv = acc_inv * Z % p
+        z_inv2 = z_inv * z_inv % p
+        out[i] = (X * z_inv2 % p, Y * z_inv2 * z_inv % p)
     return out
 
 
@@ -302,14 +290,16 @@ def joint_mul(base: FixedBase, a: int, pt, b: int):
 
 def _run(curve: Curve, steps):
     """The Jacobian sum of each step's affine points times 2^(steps after
-    it): one doubling between steps, none while the sum is at infinity."""
-    zero = curve.zero
-    X, Y, Z = curve.one, curve.one, zero
+    it): one doubling between steps, none while the sum is at infinity.
+    The sum starts there with Z the int 0, which is false as either
+    field's zero is."""
+    double, add_affine = _jac_double, _jac_add_affine
+    X, Y, Z = curve.one, curve.one, 0
     for points in steps:
-        if Z != zero:
-            X, Y, Z = _jac_double(curve, X, Y, Z)
+        if Z:
+            X, Y, Z = double(curve, X, Y, Z)
         for x2, y2 in points:
-            X, Y, Z = _jac_add_affine(curve, X, Y, Z, x2, y2)
+            X, Y, Z = add_affine(curve, X, Y, Z, x2, y2)
     return X, Y, Z
 
 
@@ -332,18 +322,18 @@ def _schedule(curve: Curve, pt, k: int):
     width = _width(max(abs(h).bit_length() for h in halves))
     table = _odd_multiples(curve, pt, 1 << (width - 2))
     tables = [table]
+    p = curve.p
     if curve.endo is not None:
         beta = curve.endo[0]
-        tables.append([(curve.mul(beta, x), y) for x, y in table])
+        tables.append([(beta * x % p, y) for x, y in table])
     nafs = [wnaf(abs(h), width) for h in halves]
     steps = [[] for _ in range(max(map(len, nafs)))]
-    neg = curve.neg
     for half, digits, table in zip(halves, nafs, tables):
         flip = half < 0
         for i, d in enumerate(digits, len(steps) - len(digits)):
             if d:
                 x, y = table[abs(d) >> 1]
-                steps[i].append((x, neg(y)) if (d < 0) != flip else (x, y))
+                steps[i].append((x, -y % p) if (d < 0) != flip else (x, y))
     return steps
 
 

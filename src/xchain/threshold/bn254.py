@@ -7,8 +7,10 @@ Everything is derived from the single BN parameter ``U``:
 
 G1 is y^2 = x^3 + 3 over Fp with generator (1, 2). G2 lives on the
 sextic twist y^2 = x^3 + 3/xi over Fp2 with xi = 9 + i. G1 and G2 share
-the a = 0 group law of ``xchain.ec`` with secp256k1; multiples of the
-generator G2 (key commitments) read its comb table there. G1 carries the
+the a = 0 group law of ``xchain.ec`` with secp256k1: on G1 it runs on
+ints, on G2 on the private ``_Fp2`` class, to which the g2_* functions
+convert their tuple points and back. Multiples of the generator G2 (key
+commitments) read its comb table there. G1 carries the
 endomorphism (beta*x, y) = lam*(x, y), so ``g1_mul`` splits its scalar
 into two ~127-bit halves (GLV); G2 keeps one wNAF term.
 
@@ -130,14 +132,76 @@ B2 = f2_mul((B, 0), f2_inv(XI))  # twist constant 3/(9+i)
 # lam^3 = 1 mod n
 _BETA = 0x59E26BCEA0D48BACD4F263F1ACDB5C4F5763473177FFFFFE
 _LAMBDA = 0xB3C4D79D41A917585BFC41088D8DAAA78B17EA66B99C90DD
-_F1 = ec.prime_curve(P, B, N, endo=(_BETA, _LAMBDA))
+_F1 = ec.Curve(P, B, N, endo=(_BETA, _LAMBDA))
 
-_F2 = ec.Curve(
-    add=f2_add, sub=f2_sub, mul=f2_mul, sqr=f2_sqr,
-    inv=f2_inv, neg=f2_neg, scale_int=f2_scale,
-    zero=F2_ZERO, one=F2_ONE, b=B2, order=N,
-)
-_G2_BASE = ec.FixedBase(_F2, G2)
+
+class _Fp2:
+    """An Fp2 element a + b*i in the operator form of ``ec``'s group law:
+    + - * leave the coefficients unreduced, % P reduces them, pow(x, -1, P)
+    inverts a reduced element, truth means a nonzero reduced element and
+    == compares coefficients. An int on the left of * scales. Only ``ec``
+    sees these: the g2_* functions take and return tuples."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
+
+    def __add__(self, other):
+        return _Fp2(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return _Fp2(self.a - other.a, self.b - other.b)
+
+    def __neg__(self):
+        return _Fp2(-self.a, -self.b)
+
+    def __mul__(self, other):
+        a, b = self.a, self.b
+        if other is self:  # two products, not four
+            return _Fp2((a + b) * (a - b), 2 * a * b)
+        c, d = other.a, other.b
+        return _Fp2(a * c - b * d, a * d + b * c)
+
+    def __rmul__(self, k):
+        return _Fp2(k * self.a, k * self.b)
+
+    def __mod__(self, p):
+        return _Fp2(self.a % p, self.b % p)
+
+    def __pow__(self, e, p):
+        if e != -1:
+            return NotImplemented
+        a, b = self.a, self.b
+        d = pow(a * a + b * b, -1, p)
+        return _Fp2(a * d % p, -b * d % p)
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def __eq__(self, other):
+        return self.a == other.a and self.b == other.b
+
+
+_F2 = ec.Curve(P, _Fp2(*B2), N, one=_Fp2(1, 0))
+
+
+def _to_f2(pt):
+    """A twist point's tuple coordinates as ``_Fp2`` elements."""
+    if pt is None:
+        return None
+    return _Fp2(*pt[0]), _Fp2(*pt[1])
+
+
+def _from_f2(pt):
+    if pt is None:
+        return None
+    x, y = pt
+    return (x.a, x.b), (y.a, y.b)
+
+
+_G2_BASE = ec.FixedBase(_F2, _to_f2(G2))
 
 
 def g1_add(p1, p2):
@@ -157,22 +221,22 @@ def g1_on_curve(pt):
 
 
 def g2_add(p1, p2):
-    return ec.add(_F2, p1, p2)
+    return _from_f2(ec.add(_F2, _to_f2(p1), _to_f2(p2)))
 
 
 def g2_mul(pt, k):
     """k * pt; multiples of G2 read its comb table, built on first use."""
     if pt == G2:
-        return ec.fixed_mul(_G2_BASE, k)
-    return ec.mul(_F2, pt, k)
+        return _from_f2(ec.fixed_mul(_G2_BASE, k))
+    return _from_f2(ec.mul(_F2, _to_f2(pt), k))
 
 
 def g2_neg(pt):
-    return ec.neg(_F2, pt)
+    return _from_f2(ec.neg(_F2, _to_f2(pt)))
 
 
 def g2_on_curve(pt):
-    return ec.on_curve(_F2, pt)
+    return ec.on_curve(_F2, _to_f2(pt))
 
 
 def g1_to_bytes(pt) -> bytes:

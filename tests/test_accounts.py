@@ -135,6 +135,33 @@ def test_account_address_derived_once(monkeypatch):
     assert key.address == address_of(42)
 
 
+def test_point_address_is_the_key_hash():
+    for k in (1, 2, 42):
+        x, y = public_key(k)
+        expected = keccak256(x.to_bytes(32, "big") + y.to_bytes(32, "big"))[12:]
+        assert accounts._point_address((x, y)) == expected == address_of(k)
+
+
+def test_recovered_key_hashed_to_its_address_once(monkeypatch):
+    """Two signatures by one key recover one public key: its address is
+    hashed on the first recovery only, and address_of reuses it."""
+    key = random.Random(18).randrange(1, N)
+    digests = [keccak256(b"first"), keccak256(b"second")]
+    signatures = [sign_digest(d, key) for d in digests]
+    accounts._point_address.cache_clear()
+    hashed = []
+
+    def counted(data):
+        hashed.append(data)
+        return keccak256(data)
+
+    monkeypatch.setattr(accounts, "keccak256", counted)
+    recovered = [recover_digest.__wrapped__(d, *sig) for d, sig in zip(digests, signatures)]
+    assert len(hashed) == 1
+    assert recovered == [address_of(key)] * 2
+    assert len(hashed) == 1
+
+
 CURVE, G = accounts._CURVE, accounts._G
 EDGE_SCALARS = (0, 1, 2, N - 1, N, N + 1, -5)
 

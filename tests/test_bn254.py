@@ -3,6 +3,7 @@ group laws, and the bilinearity relation e(k*P, Q) == e(P, k*Q) that
 verification rests on."""
 
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,8 +26,19 @@ def test_generators_valid():
     assert curve.g2_mul(curve.G2, curve.N) is None
 
 
+# Test-local field arithmetic for the reference law, independent of
+# ``ec`` and ``_Fp2``: ints mod P for G1, bn254's f2_* tuples for G2.
+_FP = SimpleNamespace(
+    zero=0, add=lambda a, b: (a + b) % curve.P, sub=lambda a, b: (a - b) % curve.P,
+    mul=lambda a, b: a * b % curve.P, sqr=lambda a: a * a % curve.P,
+    scale=lambda a, k: a * k % curve.P, inv=lambda a: pow(a, -1, curve.P))
+_FP2 = SimpleNamespace(
+    zero=curve.F2_ZERO, add=curve.f2_add, sub=curve.f2_sub, mul=curve.f2_mul,
+    sqr=curve.f2_sqr, scale=curve.f2_scale, inv=curve.f2_inv)
+
+
 def _affine_add(field, p1, p2):
-    """Reference addition over field (an ``ec.Curve``): the chord and
+    """Reference addition over field (``_FP`` or ``_FP2``): the chord and
     tangent law, one inversion per add."""
     if p1 is None:
         return p2
@@ -36,8 +48,8 @@ def _affine_add(field, p1, p2):
     if x1 == x2:
         if y1 != y2 or y1 == field.zero:
             return None
-        lam = field.mul(field.scale_int(field.sqr(x1), 3),
-                        field.inv(field.scale_int(y1, 2)))
+        lam = field.mul(field.scale(field.sqr(x1), 3),
+                        field.inv(field.scale(y1, 2)))
     else:
         lam = field.mul(field.sub(y2, y1), field.inv(field.sub(x2, x1)))
     x3 = field.sub(field.sub(field.sqr(lam), x1), x2)
@@ -45,11 +57,11 @@ def _affine_add(field, p1, p2):
 
 
 def _g1_ref_add(p1, p2):
-    return _affine_add(curve._F1, p1, p2)
+    return _affine_add(_FP, p1, p2)
 
 
 def _g2_ref_add(p1, p2):
-    return _affine_add(curve._F2, p1, p2)
+    return _affine_add(_FP2, p1, p2)
 
 
 def test_group_law():
@@ -134,13 +146,13 @@ def test_short_scalars_build_no_table(monkeypatch):
     the one inversion is the final conversion to affine."""
     other = curve.g2_mul(curve.G2, 12345)
     inversions = [0]
-    inv = curve._F2.inv
+    inv = curve._Fp2.__pow__
 
-    def counted(x):
+    def counted(x, e, p):
         inversions[0] += 1
-        return inv(x)
+        return inv(x, e, p)
 
-    monkeypatch.setattr(curve._F2, "inv", counted)
+    monkeypatch.setattr(curve._Fp2, "__pow__", counted)
     for k in range(1, 11):
         inversions[0] = 0
         curve.g2_mul(other, k)
@@ -152,21 +164,78 @@ def test_g2_generator_table_matches_double_and_add():
     rng = random.Random(9)
     scalars = [0, 1, 2, 17, curve.N - 1, curve.N, curve.N + 1, -3, 2**253 + 12345]
     for k in scalars + [rng.randrange(curve.N) for _ in range(6)]:
-        assert curve.g2_mul(curve.G2, k) == ec.mul(curve._F2, curve.G2, k)
+        expected = ec.mul(curve._F2, curve._to_f2(curve.G2), k)
+        assert curve.g2_mul(curve.G2, k) == curve._from_f2(expected)
 
 
 def test_jacobian_addition_special_cases():
     # Unreachable from g1_mul/g2_mul on points of order N, but kept so
     # that scalar multiplication stays a group law on every curve point.
-    for ops, gen in ((curve._F1, curve.G1), (curve._F2, curve.G2)):
-        x, y = gen
-        assert ec._jac_add_affine(ops, x, y, ops.one, x, y) \
-            == ec._jac_double(ops, x, y, ops.one)
-        neg_y = ops.neg(y)
-        assert ec._jac_add_affine(ops, x, neg_y, ops.one, x, y)[2] == ops.zero
-        assert ec._jac_add_affine(ops, ops.one, ops.one, ops.zero, x, y) \
-            == (x, y, ops.one)
-        assert ec._jac_double(ops, ops.one, ops.one, ops.zero)[2] == ops.zero
+    # Run on Fp (ints) and on Fp2 (_Fp2), where Z == 0 is a false zero.
+    for field, (x, y), zero in ((curve._F1, curve.G1, 0),
+                                (curve._F2, curve._to_f2(curve.G2), curve._Fp2(0, 0))):
+        one = field.one
+        assert ec._jac_add_affine(field, x, y, one, x, y) \
+            == ec._jac_double(field, x, y, one)
+        assert ec._jac_double(field, x, y, one)[2]
+        neg_y = ec.neg(field, (x, y))[1]
+        sum_z = ec._jac_add_affine(field, x, neg_y, one, x, y)[2]
+        assert not sum_z and sum_z == zero
+        assert ec._jac_add_affine(field, one, one, zero, x, y) == (x, y, one)
+        doubled_z = ec._jac_double(field, one, one, zero)[2]
+        assert not doubled_z and doubled_z == zero
+
+
+def test_fp2_operators_match_f2_functions():
+    """``_Fp2``'s operators against the tuple f2_* functions: products
+    (the squaring shortcut and the general one), reduction, inversion,
+    scaling, sums and truth, on random elements and all-(p-1) ones."""
+    import random
+    rng = random.Random(8)
+    p, F = curve.P, curve._Fp2
+    elements = [(p - 1, p - 1), (p - 1, 0), (0, p - 1), (1, 0)]
+    elements += [(rng.randrange(p), rng.randrange(p)) for _ in range(12)]
+
+    def pair(x):
+        return (x.a, x.b)
+
+    for a in elements:
+        x = F(*a)
+        assert pair(x * x % p) == curve.f2_sqr(a) == curve.f2_mul(a, a)
+        assert pair(x * F(*a) % p) == curve.f2_mul(a, a)
+        assert pair(pow(x, -1, p)) == curve.f2_inv(a)
+        assert pair(pow(x, -1, p) * x % p) == curve.F2_ONE
+        assert pair(7 * x % p) == curve.f2_scale(a, 7)
+        assert pair(-x % p) == curve.f2_neg(a)
+        for b in elements[:6]:
+            y = F(*b)
+            assert pair(x * y % p) == curve.f2_mul(a, b)
+            assert pair((x + y) % p) == curve.f2_add(a, b)
+            assert pair((x - y) % p) == curve.f2_sub(a, b)
+        assert x and x % p == x
+    assert not F(0, 0) and F(0, 1) and F(1, 0)
+    assert not (F(p - 1, 1) + F(1, p - 1)) % p
+
+
+def test_on_curve_requires_reduced_coordinates():
+    """A coordinate off by a multiple of p still solves the curve
+    equation mod p, but would give the point a second encoding."""
+    from xchain.threshold.scheme import _Bn254Backend
+    p = curve.P
+    x, y = curve.G1
+    for bad in ((x + p, y), (x, y + p), (x - p, y), (x, y - p)):
+        assert not curve.g1_on_curve(bad)
+    (x0, x1), (y0, y1) = curve.G2
+    for bad in (((x0 + p, x1), (y0, y1)), ((x0, x1 + p), (y0, y1)),
+                ((x0, x1), (y0 - p, y1)), ((x0, x1), (y0, y1 + p))):
+        assert not curve.g2_on_curve(bad)
+    assert curve.g1_on_curve(curve.G1) and curve.g2_on_curve(curve.G2)
+    # a signature has one byte encoding: the pairing check refuses the other
+    backend, secret, message = _Bn254Backend(), 424242, b"one encoding"
+    public_key = curve.g2_mul(curve.G2, secret)
+    sig = curve.g1_mul(backend.hash_to_base(message), secret)
+    assert backend.pair_check(public_key, message, sig)
+    assert not backend.pair_check(public_key, message, (sig[0] + p, sig[1]))
 
 
 def test_final_exponentiation_matches_generic_power():
