@@ -8,6 +8,7 @@ from pathlib import Path
 import click
 
 from .scenario import Scenario, ScenarioError, run_sweep
+from .simnet import TRACE_FIELDS
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -96,8 +97,8 @@ def trace_diff(trace_a, trace_b, ignore_digests):
         for line in Path(path).read_text().splitlines():
             if not line.strip():
                 continue
-            fields = dict(part.split("=", 1) for part in line.split(" "))
-            if set(fields) != {"tick", "node", "kind", "reason", "digest"}:
+            fields = dict(part.split("=", 1) for part in line.split(" ") if "=" in part)
+            if line.count(" ") + 1 != len(fields) or set(fields) != set(TRACE_FIELDS):
                 click.echo(f"schema mismatch in {path}: {line}", err=True)
                 sys.exit(EXIT_PARSE)
             if ignore_digests:

@@ -35,7 +35,8 @@ replies to its requester with a refused view_reply.
 The atomicity contract: for any fault schedule, the contracts finalized
 with a commit decision for one crosschain transaction are either all of
 its participating contracts or none of them, and every node's decision
-equals the coordination contract's terminal status.
+equals the coordination contract's terminal status. The World checks it
+on the trace's lock and finalize records; its audit_log derives from them.
 """
 
 from dataclasses import dataclass, field, replace
@@ -66,6 +67,7 @@ from .simnet import (
     Message,
     NodeCrashed,
     SimNet,
+    TraceRecord,
 )
 from .threshold import SignatureShare, ThresholdConfig, get_scheme
 from .wire import (
@@ -256,22 +258,12 @@ class _CoordinationNode:
         tmsg: ThresholdMessage = msg.body["message"]
         sig = msg.body["signature"]
         try:
-            if op == "start":
-                self.chain.start(tmsg, sig)
-            elif op == "commit":
-                self.chain.commit(tmsg, sig)
-            elif op == "ignore":
-                self.chain.ignore(tmsg, sig)
-            else:
+            if op not in ("start", "commit", "ignore"):
                 raise CoordinationError(f"unknown op {op}")
+            getattr(self.chain, op)(tmsg, sig)
             body = {"ok": True, "op": op}
-            self.world.audit("coordination", node=self.node_id, op=op,
-                             tx=tmsg.crosschain_tx_id, accepted=True)
         except CoordinationError as exc:
             body = {"ok": False, "op": op, "error": str(exc)}
-            self.world.audit("coordination", node=self.node_id, op=op,
-                             tx=tmsg.crosschain_tx_id, accepted=False,
-                             error=str(exc))
         self.world.reply(self.node_id, msg, "submit_reply", body)
 
     def on_timer(self, tag) -> None:  # pragma: no cover - no timers here
@@ -393,7 +385,7 @@ class ValidatorNode:
                 self._finish_await(rec)
             return
         if isinstance(tag, tuple) and tag and tag[0] == "resolve":
-            self._resolve_context(tag[1], via="local-timer")
+            self._resolve_context(tag[1])
 
     def on_message(self, msg: Message) -> None:
         if msg.reply_to is not None:
@@ -656,7 +648,7 @@ class ValidatorNode:
         if msg.body.get("forward", False):
             self.step("sub:check_forwarded")
             self._check_siblings(msg.body)
-        self._resolve_context(key, via="check-message")
+        self._resolve_context(key)
 
     def _check_siblings(self, body: dict) -> None:
         """Send check_coordination to the other validators of this
@@ -667,7 +659,7 @@ class ValidatorNode:
                           {**body, "forward": False},
                           latency=self.world.config.intra_latency)
 
-    def _resolve_context(self, key: tuple, via: str) -> None:
+    def _resolve_context(self, key: tuple) -> None:
         ctx = self.contexts.get(key)
         if ctx is None:
             return
@@ -691,16 +683,12 @@ class ValidatorNode:
             return
         decision = (LockDecision.COMMIT if status is EffectiveStatus.COMMITTED
                     else LockDecision.IGNORE)
-        self.world.audit("decision", node=self.node_id, tx=tx_id,
-                         decision=decision.value, status=status.value, via=via)
         for address in sorted(ctx.locked):
             if self.state.locked_by(address) == ctx.holder:
                 self.state.finalize(address, decision)
-                self.world.audit("finalize", node=self.node_id, tx=tx_id,
-                                 sidechain=self.sidechain.sidechain_id,
-                                 contract=address, decision=decision.value)
                 self.net.record(self.node_id, "finalize",
-                                f"{decision.value}:{address.hex()[:8]}")
+                                f"{decision.value}:{address.hex()[:8]}", tx=tx_id,
+                                contract=(self.sidechain.sidechain_id, address))
         del self.contexts[key]
 
     # -- threshold signing round (coordinator side) -----------------------------------
@@ -876,10 +864,9 @@ class ValidatorNode:
         signer = wire.recover_signer(tx)
         self.state.nonces[signer] = tx.nonce + 1
         self.sidechain.mined.add(wire.tx_hash(tx))
-        self.world.audit("mined", node=self.node_id, tx=tx.crosschain_tx_id,
-                         sidechain=self.sidechain.sidechain_id, contract=tx.to,
-                         tx_hash=wire.tx_hash(tx))
-        self.net.record(self.node_id, "lock", f"locked:{tx.to.hex()[:8]}")
+        self.net.record(self.node_id, "lock", f"locked:{tx.to.hex()[:8]}",
+                        tx=tx.crosschain_tx_id,
+                        contract=(self.sidechain.sidechain_id, tx.to))
 
     # -- originating transaction flow ----------------------------------------------
 
@@ -1021,8 +1008,7 @@ class ValidatorNode:
                 self.send(member.node_id, "check_coordination",
                           {**body, "forward": True},
                           latency=self.world.config.cross_latency)
-        self._resolve_context((tx.crosschain_tx_id, tx.originating_sidechain_id),
-                              via="own-broadcast")
+        self._resolve_context((tx.crosschain_tx_id, tx.originating_sidechain_id))
 
     # -- subordinate transaction flow ----------------------------------------------
 
@@ -1248,6 +1234,14 @@ class _TreeBuilder:
         return node, outcome.result
 
 
+def _entry(rec: TraceRecord) -> dict:
+    """An audit_log dict; a finalize's decision is its reason's prefix."""
+    finalize = rec.kind == "finalize"
+    return {"kind": rec.kind if finalize else "mined", "tick": rec.tick, "tx": rec.tx,
+            "sidechain": rec.contract[0], "contract": rec.contract[1],
+            "decision": rec.reason.partition(":")[0] if finalize else None}
+
+
 class World:
     """Everything one simulation run owns."""
 
@@ -1263,7 +1257,6 @@ class World:
         self.multichain_nodes: Dict[str, MultichainNode] = {}
         self._req_counter = 0
         self._id_counter = 0
-        self.audit_log: List[dict] = []
         self.handles: List[TxHandle] = []
         self.view_result_overrides: Dict[str, bytes] = {}
         # scenario-injected policy: node ids that refuse to sign start
@@ -1273,7 +1266,7 @@ class World:
         self._member_rotation: Dict[SidechainId, int] = {}
         self.net.on_fault_armed(self._fault_armed)
 
-    # -- ids and audit -------------------------------------------------------
+    # -- ids and replies -----------------------------------------------------
 
     def next_req_id(self) -> int:
         self._req_counter += 1
@@ -1285,9 +1278,6 @@ class World:
         raw = keccak256(b"txid" + self.seed.to_bytes(8, "big")
                         + self._id_counter.to_bytes(8, "big"))
         return CrosschainTxId(int.from_bytes(raw, "big"))
-
-    def audit(self, kind: str, **info) -> None:
-        self.audit_log.append({"kind": kind, "tick": self.net.tick, **info})
 
     def reply(self, sender: str, msg: Message, mtype: str, body: dict,
               latency: Optional[int] = None) -> None:
@@ -1494,34 +1484,33 @@ class World:
                                 entry.to, entry.data)
         return view
 
-    # -- audit queries -----------------------------------------------------------------
+    # -- queries over the lock and finalize records ------------------------------------
+
+    @property
+    def audit_log(self) -> List[dict]:
+        """A mined dict per lock record, a finalize dict per finalize."""
+        return [_entry(rec) for rec in self.net.trace if rec.tx is not None]
+
+    def _records(self, tx_id: CrosschainTxId, kind: str) -> List[TraceRecord]:
+        return [rec for rec in self.net.by_tx.get(tx_id, ()) if rec.kind == kind]
 
     def finalize_decisions(self, tx_id: CrosschainTxId) -> List[dict]:
-        return [rec for rec in self.audit_log
-                if rec["kind"] == "finalize" and rec["tx"] == tx_id]
+        return [_entry(rec) for rec in self._records(tx_id, "finalize")]
 
     def participating_contracts(self, tx_id: CrosschainTxId) -> Set[tuple]:
-        return {(rec["sidechain"], rec["contract"]) for rec in self.audit_log
-                if rec["kind"] == "mined" and rec["tx"] == tx_id}
+        return {rec.contract for rec in self._records(tx_id, "lock")}
 
     def atomicity_ok(self, tx_id: CrosschainTxId) -> bool:
-        """All participating contracts finalized the same way (or no
-        contract was ever locked)."""
-        participants = self.participating_contracts(tx_id)
-        decisions: Dict[tuple, str] = {}
-        for rec in self.finalize_decisions(tx_id):
-            decisions[(rec["sidechain"], rec["contract"])] = rec["decision"]
-        outcomes = {decisions.get(p) for p in participants}
-        # pending (None) means still locked: not yet resolved, not atomicity loss;
-        # run_to_quiescence before asserting.
-        if not participants:
-            return True
-        return len(outcomes) == 1
+        """All participating contracts finalized the same way, or none was
+        ever locked. A contract still locked (not yet resolved: run to
+        quiescence before asserting) counts as an outcome of its own."""
+        decisions = {rec.contract: rec.reason.startswith("commit:")
+                     for rec in self._records(tx_id, "finalize")}
+        return len({decisions.get(p) for p in self.participating_contracts(tx_id)}) <= 1
 
     def committed_contracts(self, tx_id: CrosschainTxId) -> Set[tuple]:
-        return {(rec["sidechain"], rec["contract"])
-                for rec in self.finalize_decisions(tx_id)
-                if rec["decision"] == "commit"}
+        return {rec.contract for rec in self._records(tx_id, "finalize")
+                if rec.reason.startswith("commit:")}
 
     def run(self, max_ticks: int = 100_000):
         return self.net.run_until_quiescent(max_ticks=max_ticks)

@@ -5,7 +5,8 @@ message deliveries, timer expiries and scenario actions. Coordination
 and sidechain block clocks are bound to the tick stream (block_number =
 tick // interval) and advance exactly at block boundaries as simulated
 time moves. The full run is captured as a line-oriented trace whose
-byte content is a pure function of (scenario, seed).
+byte content is a pure function of (scenario, seed). It is the one event
+log: lock and finalize records also carry their transaction, unrendered.
 
 Faults arm on a named protocol step or at a tick, and act on node
 crashes, message drops/delays, partitions, share corruption and
@@ -19,7 +20,7 @@ import random
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 
 class NodeCrashed(Exception):
@@ -238,18 +239,22 @@ def tag_str(tag) -> str:
     return str(tag).replace(" ", "_")
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
     tick: int
     node: str
     kind: str
     reason: str
     digest: str
+    tx: object = None                   # not rendered: a CrosschainTxId
+    contract: Optional[tuple] = None    # not rendered: (SidechainId, address)
 
     def line(self) -> str:
         reason = self.reason.replace(" ", "_")
         return (f"tick={self.tick} node={self.node} kind={self.kind} "
                 f"reason={reason} digest={self.digest}")
+
+
+TRACE_FIELDS = TraceRecord._fields[:5]  # of a rendered line, in order
 
 
 class SimNet:
@@ -267,6 +272,7 @@ class SimNet:
         self._nodes: Dict[str, object] = {}
         self.crashed: set = set()
         self.trace: List[TraceRecord] = []
+        self.by_tx: Dict[object, List[TraceRecord]] = {}  # records with a tx
         self._faults: List[_ArmedFault] = []
         self._pending_faults: List[FaultSpec] = []
         self._clocks: List[tuple] = []  # (name, chain_obj, interval)
@@ -291,9 +297,12 @@ class SimNet:
 
     # -- trace --------------------------------------------------------------
 
-    def record(self, node: str, kind: str, reason: str, payload=None) -> None:
-        self.trace.append(TraceRecord(self.tick, node, kind, reason,
-                                      payload_digest(payload)))
+    def record(self, node: str, kind: str, reason: str, payload=None,
+               tx=None, contract: Optional[tuple] = None) -> None:
+        rec = TraceRecord(self.tick, node, kind, reason, payload_digest(payload), tx, contract)
+        self.trace.append(rec)
+        if tx is not None:
+            self.by_tx.setdefault(tx, []).append(rec)
 
     def trace_lines(self) -> str:
         return "\n".join(r.line() for r in self.trace) + ("\n" if self.trace else "")

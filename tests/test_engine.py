@@ -81,14 +81,40 @@ def test_decision_agreement_across_nodes():
     tx = build_purchase(world, mn, ref, contracts)
     world.submit_crosschain_tx("nodeA", tx)
     drain(world)
-    decisions = [rec for rec in world.audit_log if rec["kind"] == "decision"
-                 and rec["tx"] == tx.crosschain_tx_id]
-    assert decisions
-    chain = world.coordination[ref]
-    terminal = chain.status_of(tx.crosschain_tx_id, SC1)
-    for rec in decisions:
-        assert rec["decision"] == ("commit" if terminal is EffectiveStatus.COMMITTED
-                                   else "ignore")
+    decisions = world.finalize_decisions(tx.crosschain_tx_id)
+    finalized = [(rec["sidechain"], rec["contract"]) for rec in decisions]
+    participants = world.participating_contracts(tx.crosschain_tx_id)
+    # the sidechain state is shared: only the first resolver finalizes
+    assert participants and len(finalized) == len(participants)
+    assert set(finalized) == participants
+    terminal = world.coordination[ref].status_of(tx.crosschain_tx_id, SC1)
+    expected = "commit" if terminal is EffectiveStatus.COMMITTED else "ignore"
+    assert [rec["decision"] for rec in decisions] == [expected] * len(decisions)
+
+
+def test_atomicity_queries_read_one_transactions_records():
+    world = World()
+    tx, other = CrosschainTxId(1), CrosschainTxId(2)
+    a, b = (SC1, bytes(20)), (SC2, bytes([1]) * 20)
+
+    def record(kind, decision, contract, tx_id=tx):
+        world.net.record("v", kind, f"{decision}:{contract[1].hex()[:8]}",
+                         tx=tx_id, contract=contract)
+
+    record("lock", "locked", a)
+    record("lock", "locked", b)
+    record("finalize", "ignore", a, tx_id=other)
+    assert world.participating_contracts(tx) == {a, b}
+    assert world.atomicity_ok(tx)  # both still locked: not yet resolved
+    record("finalize", "commit", a)
+    assert not world.atomicity_ok(tx)  # b still locked
+    record("finalize", "ignore", b)
+    assert not world.atomicity_ok(tx)
+    assert world.committed_contracts(tx) == {a}
+    assert [(rec["sidechain"], rec["decision"]) for rec in world.finalize_decisions(tx)] == \
+        [(SC1, "commit"), (SC2, "ignore")]
+    assert world.atomicity_ok(other) and not world.participating_contracts(other)
+    assert world.atomicity_ok(CrosschainTxId(3))
 
 
 # --- pre-start validation failures ------------------------------------------------------
@@ -438,7 +464,7 @@ def test_early_check_rearms_until_past_timeout():
 
     def early_check():
         if key in validator.contexts:
-            validator._resolve_context(key, via="early-check")
+            validator._resolve_context(key)
             assert key in validator.contexts  # still STARTED: kept
     world.net.call_soon(early_check, delay=120)
     world.run(max_ticks=20000)

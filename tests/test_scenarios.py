@@ -7,9 +7,10 @@ import yaml
 from click.testing import CliRunner
 
 from xchain.cli import main
-from xchain.coordination import EffectiveStatus
+from xchain.coordination import CoordinationChain, CoordinationError, EffectiveStatus
 from xchain.scenario import Scenario, ScenarioError
 from xchain.simnet import FaultSpec
+from xchain.wire import CrosschainTxId, SidechainId
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 TESTDATA = Path(__file__).parent.parent / "testdata"
@@ -145,7 +146,23 @@ START, COMMIT, IGNORE = ("start", True), ("commit", True), ("ignore", True)
      [START]),
 ], ids=["commit-reply-lost", "commit-lands-late", "ignore-lands-first",
         "commit-and-ignore-late", "commit-and-ignore-lost"])
-def test_handle_follows_coordination_record(fault, committed, submitted):
+def test_handle_follows_coordination_record(fault, committed, submitted, monkeypatch):
+    calls = []
+
+    def spy(op):
+        plain = getattr(CoordinationChain, op)
+
+        def submit(self, *args):
+            try:
+                plain(self, *args)
+            except CoordinationError:
+                calls.append((op, False))
+                raise
+            calls.append((op, True))
+        return submit
+
+    for op in ("start", "commit", "ignore"):
+        monkeypatch.setattr(CoordinationChain, op, spy(op))
     result = Scenario.load(str(SCENARIO_DIR / "conditional_buy.scn")).run(
         extra_faults=[fault])
     world = result.world
@@ -157,8 +174,41 @@ def test_handle_follows_coordination_record(fault, committed, submitted):
     assert (status is EffectiveStatus.COMMITTED) is committed
     assert len(world.committed_contracts(handle.crosschain_tx_id)) == (2 if committed else 0)
     assert world.atomicity_ok(handle.crosschain_tx_id)
-    assert [(rec["op"], rec["accepted"]) for rec in world.audit_log
-            if rec["kind"] == "coordination"] == submitted
+    assert calls == submitted
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_event_log_views_follow_the_trace(name):
+    """audit_log lists the lock and finalize trace lines, and the
+    per-transaction queries, which read the index, equal a scan of the
+    whole trace."""
+    world = Scenario.load(str(SCENARIO_DIR / name)).run().world
+    trace = world.net.trace
+    kinds = {"lock": "mined", "finalize": "finalize"}
+    lines = [rec for rec in trace if rec.kind in kinds]
+    assert len(world.audit_log) == len(lines)
+    for rec, entry in zip(lines, world.audit_log):
+        assert set(entry) == {"kind", "tick", "tx", "sidechain", "contract", "decision"}
+        assert (entry["kind"], entry["tick"]) == (kinds[rec.kind], rec.tick)
+        assert isinstance(entry["tx"], CrosschainTxId)
+        assert isinstance(entry["sidechain"], SidechainId)
+        decision = entry["decision"] or "locked"
+        assert rec.reason == f"{decision}:{entry['contract'].hex()[:8]}"
+    assert world.handles
+    for handle in world.handles:
+        tx_id = handle.crosschain_tx_id
+        locks = [rec for rec in trace if rec.kind == "lock" and rec.tx == tx_id]
+        finals = [rec for rec in trace if rec.kind == "finalize" and rec.tx == tx_id]
+        decisions = [(rec.tick, rec.contract, rec.reason.split(":")[0]) for rec in finals]
+        assert [(entry["tick"], (entry["sidechain"], entry["contract"]), entry["decision"])
+                for entry in world.finalize_decisions(tx_id)] == decisions
+        participants = {rec.contract for rec in locks}
+        assert world.participating_contracts(tx_id) == participants
+        assert world.committed_contracts(tx_id) == \
+            {contract for _, contract, decision in decisions if decision == "commit"}
+        final = {contract: decision for _, contract, decision in decisions}
+        assert world.atomicity_ok(tx_id) == (
+            len({final.get(contract) for contract in participants}) <= 1)
 
 
 # --- CLI ----------------------------------------------------------------------------------
@@ -221,6 +271,24 @@ def test_cli_trace_diff(tmp_path):
                          "--seed", "5", "--trace-out", str(c)])
     diff = runner.invoke(main, ["trace-diff", str(a), str(c)])
     assert diff.exit_code == 1
+
+
+@pytest.mark.parametrize("line", [
+    "not a trace line",
+    "tick=1 node=n kind=step reason=r",
+    "tick=1 node=n kind=step reason=r digest=- extra",
+    "tick=1 node=n kind=step reason=r digest=- tick=2",
+], ids=["no-fields", "missing-field", "bare-word", "repeated-field"])
+def test_cli_trace_diff_schema_mismatch(tmp_path, line):
+    good = tmp_path / "good.trace"
+    good.write_text("tick=1 node=n kind=step reason=r digest=-\n")
+    bad = tmp_path / "bad.trace"
+    bad.write_text(line + "\n")
+    result = CliRunner().invoke(main, ["trace-diff", str(good), str(bad)])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"schema mismatch in {bad}: {line}" in result.output
+    assert CliRunner().invoke(main, ["trace-diff", str(good), str(good)]).exit_code == 0
 
 
 def test_cli_list_scenarios():
