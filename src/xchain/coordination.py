@@ -26,6 +26,11 @@ from .wire import (
 )
 
 
+# Ticks per block of every coordination chain and sidechain that does
+# not set its own interval.
+DEFAULT_BLOCK_INTERVAL = 10
+
+
 class CoordinationError(ValueError):
     pass
 
@@ -91,6 +96,7 @@ class CoordinationChain:
     scheme: object  # ThresholdScheme used to verify message signatures
     max_timeout_blocks: int = 1000
     grace_window: int = 16  # blocks an old sidechain key stays verifiable
+    block_interval: int = DEFAULT_BLOCK_INTERVAL  # ticks per block
     block_number: int = 0
     entries: Dict[bytes, CoordinationEntry] = field(default_factory=dict)
     pubkeys: Dict[SidechainId, _KeyRecord] = field(default_factory=dict)
@@ -232,3 +238,9 @@ class CoordinationChain:
         if entry is None:
             raise UnknownEntryError("no entry for this transaction")
         return entry.timeout_block
+
+    def timeout_tick(self, crosschain_tx_id, originating_sidechain_id) -> int:
+        """The global timeout in ticks: the first tick at which the
+        entry, if still started, reads TIMED_OUT."""
+        return ((self.entry_timeout(crosschain_tx_id, originating_sidechain_id) + 1)
+                * self.block_interval)

@@ -46,6 +46,7 @@ from typing import Callable, Collection, Dict, List, Optional, Sequence, Set, Tu
 from . import wire
 from .accounts import AccountKey
 from .coordination import (
+    DEFAULT_BLOCK_INTERVAL,
     CoordinationChain,
     CoordinationError,
     EffectiveStatus,
@@ -62,8 +63,6 @@ from .sidechain import (
 )
 from .simnet import (
     CORRUPT_SHARE,
-    REMOVE_VALIDATOR,
-    FaultSpec,
     Message,
     NodeCrashed,
     SimNet,
@@ -220,10 +219,8 @@ class TxHandle:
 @dataclass
 class WorldConfig:
     scheme: str = "modp"
-    coordination_block_interval: int = 10
-    sidechain_block_interval: int = 10
-    intra_latency: int = 1      # hops inside one sidechain or multichain node
-    cross_latency: int = 3      # hops between sidechains / to coordination chains
+    intra_latency: int = 1      # hops between validators of one sidechain
+    cross_latency: int = 3      # every other hop
     jitter: int = 0
     signing_round_timeout: int = 30
     freshness_window: int = 8   # blocks a view result block number may lag
@@ -238,7 +235,6 @@ class _Context:
 
     holder: LockHolder
     locked: Set[bytes] = field(default_factory=set)
-    timeout_block: int = 0
     timer_armed: bool = False
 
 
@@ -309,21 +305,16 @@ class ValidatorNode:
     def step(self, reason: str, payload=None) -> None:
         self.net.step(self.node_id, reason, payload)
 
-    def send(self, recipient: str, mtype: str, body: dict,
-             latency: Optional[int] = None) -> None:
-        self.net.send(Message(self.node_id, recipient, mtype, body),
-                      latency=latency)
+    def send(self, recipient: str, mtype: str, body: dict) -> None:
+        self.world.send(Message(self.node_id, recipient, mtype, body))
 
-    def request(self, recipient: str, mtype: str, body: dict,
-                latency: Optional[int] = None) -> int:
+    def request(self, recipient: str, mtype: str, body: dict) -> int:
         rid = self.world.next_req_id()
-        self.net.send(Message(self.node_id, recipient, mtype, body, req_id=rid),
-                      latency=latency)
+        self.world.send(Message(self.node_id, recipient, mtype, body, req_id=rid))
         return rid
 
-    def reply(self, msg: Message, mtype: str, body: dict,
-              latency: Optional[int] = None) -> None:
-        self.world.reply(self.node_id, msg, mtype, body, latency=latency)
+    def reply(self, msg: Message, mtype: str, body: dict) -> None:
+        self.world.reply(self.node_id, msg, mtype, body)
 
     # -- flow machinery ------------------------------------------------------
 
@@ -482,14 +473,6 @@ class ValidatorNode:
                 return False
         return True
 
-    def _entry_timeout_block(self, tx: CrosschainTransaction) -> int:
-        chain = self._coordination_for(tx)
-        try:
-            return chain.entry_timeout(tx.crosschain_tx_id,
-                                       tx.originating_sidechain_id)
-        except UnknownEntryError:
-            return 0
-
     def _verify_view_results(self, tx: CrosschainTransaction, frame: CallFrame,
                              view_results: dict) -> None:
         """Check signatures, hash binding and freshness of the collected
@@ -499,8 +482,7 @@ class ValidatorNode:
             packed = view_results.get(pos)
             _check(packed is not None, VIEW_FAILED)
             vmsg, sig = packed
-            expected = frame.expected[pos].subtree
-            _check(vmsg.view_hash == wire.tx_hash(expected)
+            _check(vmsg.view_hash == wire.tx_hash(frame.expected[pos])
                    and self._signed_by(chain, vmsg, sig),
                    VIEW_RESULT_BAD_SIGNATURE)
             _check(not self._stale(vmsg, self.world.sidechains[
@@ -533,8 +515,7 @@ class ValidatorNode:
             self._vet_signing(body)
         except EngineError as refusal:
             self.step(f"val:refuse_{body['kind']}", refusal.reason)
-            self.reply(msg, "sign_reply", {"ok": False, "reason": refusal.reason},
-                       latency=self.world.config.intra_latency)
+            self.reply(msg, "sign_reply", {"ok": False, "reason": refusal.reason})
             return
         partial = self.world.scheme.sign_share(self.key_share, body["payload"])
         if self.net.is_fault_active(CORRUPT_SHARE, self.node_id):
@@ -542,8 +523,7 @@ class ValidatorNode:
                 replace(self.key_share, scalar=self.key_share.scalar + 1),
                 body["payload"])
         self.reply(msg, "sign_reply",
-                   {"ok": True, "index": partial.index, "point": partial.point},
-                   latency=self.world.config.intra_latency)
+                   {"ok": True, "index": partial.index, "point": partial.point})
 
     def _vet_signing(self, body: dict) -> None:
         """Return when this validator agrees to sign, else refuse."""
@@ -600,14 +580,12 @@ class ValidatorNode:
             self._vet_mining(body)
         except EngineError as refusal:
             self.step("val:refuse_mine", refusal.reason)
-            self.reply(msg, "mine_reply", {"ok": False, "reason": refusal.reason},
-                       latency=self.world.config.intra_latency)
+            self.reply(msg, "mine_reply", {"ok": False, "reason": refusal.reason})
             return
         # accepted: remember the context and arm the local resolve timer
         self._register_context(tx)
         self.step("val:mine_accepted", wire.tx_hash(tx))
-        self.reply(msg, "mine_reply", {"ok": True},
-                   latency=self.world.config.intra_latency)
+        self.reply(msg, "mine_reply", {"ok": True})
 
     def _vet_mining(self, body: dict) -> None:
         """Return when this validator agrees to mine, else refuse."""
@@ -616,7 +594,9 @@ class ValidatorNode:
             # fig-13 style checks happen at mining distribution for
             # subordinate transactions
             signer = self._admit(tx, self.sidechain.tx_allowed)
-            remaining = self._entry_timeout_block(tx) - self._coordination_for(tx).block_number
+            chain = self._coordination_for(tx)
+            remaining = chain.entry_timeout(
+                tx.crosschain_tx_id, tx.originating_sidechain_id) - chain.block_number
             _check(remaining <= self.sidechain.max_lock_horizon, TIMEOUT_UNACCEPTABLE)
         else:
             signer = _common_signer(tx)
@@ -634,12 +614,10 @@ class ValidatorNode:
             ctx = _Context(holder=LockHolder.of_tx(tx))
             self.contexts[key] = ctx
         ctx.locked.add(tx.to)
-        ctx.timeout_block = self._entry_timeout_block(tx)
         if not ctx.timer_armed:
             ctx.timer_armed = True
-            interval = self.world.config.coordination_block_interval
-            expire = (ctx.timeout_block + 1) * interval + self.world.config.resolve_timer_lag
-            self.net.set_timer(self.node_id, ("resolve", key), expire)
+            self.net.set_timer(self.node_id, ("resolve", key), self._global_deadline(tx)
+                               + self.world.config.resolve_timer_lag)
 
     # -- resolution (check messages and local timers) ------------------------------
 
@@ -656,8 +634,7 @@ class ValidatorNode:
         for validator in self.sidechain.validators:
             if validator is not self:
                 self.send(validator.node_id, "check_coordination",
-                          {**body, "forward": False},
-                          latency=self.world.config.intra_latency)
+                          {**body, "forward": False})
 
     def _resolve_context(self, key: tuple) -> None:
         ctx = self.contexts.get(key)
@@ -674,11 +651,10 @@ class ValidatorNode:
         if status is EffectiveStatus.STARTED:
             # fired early (clock skew or an explicit check while still
             # active): re-arm until past the timeout block
-            interval = self.world.config.coordination_block_interval
-            expire = ((chain.entry_timeout(tx_id, orig_id) + 1) * interval
+            expire = (chain.timeout_tick(tx_id, orig_id)
                       + self.world.config.resolve_timer_lag)
             if expire <= self.net.tick:
-                expire = self.net.tick + interval
+                expire = self.net.tick + chain.block_interval
             self.net.set_timer(self.node_id, ("resolve", key), expire)
             return
         decision = (LockDecision.COMMIT if status is EffectiveStatus.COMMITTED
@@ -720,8 +696,7 @@ class ValidatorNode:
                 continue
             req_ids.add(self.request(
                 validator.node_id, "sign_request",
-                {**context, "kind": kind, "payload": payload},
-                latency=self.world.config.intra_latency))
+                {**context, "kind": kind, "payload": payload}))
 
         signature = None
         combined_failed = False
@@ -770,8 +745,7 @@ class ValidatorNode:
                 message: ThresholdMessage, signature):
         rid = self.request(
             self.world.coordination_node_id(tx), "submit",
-            {"op": op, "message": message, "signature": signature},
-            latency=self.world.config.cross_latency)
+            {"op": op, "message": message, "signature": signature})
         replies = yield Collect(
             keys={rid},
             deadline=self.net.tick + 4 * self.world.config.cross_latency
@@ -792,12 +766,11 @@ class ValidatorNode:
             return {}
         rid_to_pos = {}
         for pos in positions:
-            child = frame.expected[pos].subtree
+            child = frame.expected[pos]
             target = mn.members.get(child.target_sidechain_id)
             _check(target is not None, MISSING_SIDECHAIN)
             rid = self.request(target.node_id, "process_view",
-                               {"tx": child, "multichain": mn.name},
-                               latency=self.world.config.cross_latency)
+                               {"tx": child, "multichain": mn.name})
             rid_to_pos[rid] = pos
         replies = yield Collect(keys=set(rid_to_pos), deadline=deadline)
         results = {}
@@ -841,8 +814,7 @@ class ValidatorNode:
         req_ids = set()
         for validator in self.sidechain.validators:
             if validator is not self:
-                req_ids.add(self.request(validator.node_id, "mine_request", body,
-                                         latency=self.world.config.intra_latency))
+                req_ids.add(self.request(validator.node_id, "mine_request", body))
 
         def _accepted(replies) -> int:
             return accepts + sum(1 for _, b in replies.values() if b.get("ok"))
@@ -876,7 +848,6 @@ class ValidatorNode:
 
     def _originating_flow(self, mn: "MultichainNode", tx: CrosschainTransaction,
                           handle: TxHandle):
-        cfg = self.world.config
         started = False
         try:
             self.step("orig:received", tx.crosschain_tx_id)
@@ -920,11 +891,10 @@ class ValidatorNode:
             readies: Dict[bytes, tuple] = {}
             chain = self._coordination_for(tx)
             for pos in frame.tx_positions():
-                child = frame.expected[pos].subtree
+                child = frame.expected[pos]
                 target = mn.members[child.target_sidechain_id]
                 self.send(target.node_id, "process_subtx",
-                          {"tx": child, "multichain": mn.name},
-                          latency=cfg.cross_latency)
+                          {"tx": child, "multichain": mn.name})
                 leg_hashes = [wire.tx_hash(node) for node in child.walk()
                               if node.tx_type is TxType.SUBORDINATE_TX]
                 collected = yield Collect(
@@ -990,9 +960,10 @@ class ValidatorNode:
             self._broadcast_check(mn, tx)
 
     def _global_deadline(self, tx: CrosschainTransaction) -> int:
-        timeout_block = self._entry_timeout_block(tx)
-        interval = self.world.config.coordination_block_interval
-        return (timeout_block + 1) * interval
+        """The tick at which tx's entry on its coordination chain times
+        out."""
+        return self._coordination_for(tx).timeout_tick(
+            tx.crosschain_tx_id, tx.originating_sidechain_id)
 
     def _broadcast_check(self, mn: "MultichainNode", tx: CrosschainTransaction) -> None:
         body = {"tx_id": tx.crosschain_tx_id,
@@ -1006,8 +977,7 @@ class ValidatorNode:
             member = mn.members.get(chain_id)
             if member is not None:
                 self.send(member.node_id, "check_coordination",
-                          {**body, "forward": True},
-                          latency=self.world.config.cross_latency)
+                          {**body, "forward": True})
         self._resolve_context((tx.crosschain_tx_id, tx.originating_sidechain_id))
 
     # -- subordinate transaction flow ----------------------------------------------
@@ -1016,7 +986,6 @@ class ValidatorNode:
         tx: CrosschainTransaction = msg.body["tx"]
         mn = self.world.multichain_nodes[msg.body["multichain"]]
         orig_coordinator = mn.members[tx.originating_sidechain_id]
-        cfg = self.world.config
         try:
             self.step("sub:received", tx.crosschain_tx_id)
             signer = self._admit(tx, self.sidechain.tx_allowed, "sub")
@@ -1030,30 +999,26 @@ class ValidatorNode:
             self.step("sub:ready_signed")
 
             for pos in frame.tx_positions():
-                child = frame.expected[pos].subtree
+                child = frame.expected[pos]
                 target = mn.members.get(child.target_sidechain_id)
                 self.send(target.node_id, "process_subtx",
-                          {"tx": child, "multichain": mn.name},
-                          latency=cfg.cross_latency)
+                          {"tx": child, "multichain": mn.name})
             self.step("sub:children_dispatched")
 
             self.send(orig_coordinator.node_id, "subtx_ready",
-                      {"ok": True, "message": ready_msg, "signature": ready_sig},
-                      latency=cfg.cross_latency)
+                      {"ok": True, "message": ready_msg, "signature": ready_sig})
             self.step("sub:ready_sent")
         except EngineError as failure:
             self.net.record(self.node_id, "failure", failure.reason)
             self.send(orig_coordinator.node_id, "subtx_error",
                       {"ok": False, "tx_hash": wire.tx_hash(tx),
-                       "reason": failure.reason},
-                      latency=cfg.cross_latency)
+                       "reason": failure.reason})
 
     # -- subordinate view flow ----------------------------------------------------
 
     def _view_flow(self, msg: Message):
         view: CrosschainTransaction = msg.body["tx"]
         mn = self.world.multichain_nodes[msg.body["multichain"]]
-        cfg = self.world.config
         try:
             self.step("view:received", view.crosschain_tx_id)
             signer = self._admit(view, self.sidechain.view_allowed, "view")
@@ -1081,12 +1046,10 @@ class ValidatorNode:
             _check(sig is not None, VIEW_SIGNING_FAILED)
             self.step("view:result_signed")
             self.reply(msg, "view_reply",
-                       {"ok": True, "message": result_msg, "signature": sig},
-                       latency=cfg.cross_latency)
+                       {"ok": True, "message": result_msg, "signature": sig})
         except EngineError as refusal:
             self.net.record(self.node_id, "failure", refusal.reason)
-            self.reply(msg, "view_reply", {"ok": False, "reason": refusal.reason},
-                       latency=cfg.cross_latency)
+            self.reply(msg, "view_reply", {"ok": False, "reason": refusal.reason})
 
 
 @lru_cache(maxsize=256)
@@ -1108,11 +1071,13 @@ class Sidechain:
                  tx_allowed: Optional[Set[bytes]] = None,
                  view_allowed: Optional[Set[bytes]] = None,
                  trusted_coordination: Optional[Set[tuple]] = None,
-                 max_lock_horizon: Optional[int] = None):
+                 max_lock_horizon: Optional[int] = None,
+                 block_interval: int = DEFAULT_BLOCK_INTERVAL):
         self.world = world
         self.sidechain_id = sidechain_id
         self.threshold_config = config
         self.state = SidechainState(sidechain_id, HANDLERS)
+        self.block_interval = block_interval
         self.block_number = 0
         self.mined: Set[bytes] = set()
         self.tx_allowed = tx_allowed
@@ -1248,12 +1213,12 @@ class World:
     def __init__(self, seed: int = 0, config: Optional[WorldConfig] = None):
         self.config = config or WorldConfig()
         self.seed = seed
-        self.net = SimNet(seed=seed, default_latency=self.config.cross_latency,
-                          jitter=self.config.jitter)
+        self.net = SimNet(seed=seed, jitter=self.config.jitter)
         self.scheme = get_scheme(self.config.scheme)
         self.sidechains: Dict[SidechainId, Sidechain] = {}
         self.coordination: Dict[tuple, CoordinationChain] = {}
         self._coordination_nodes: Dict[tuple, str] = {}
+        self._sidechain_of: Dict[str, Sidechain] = {}  # by validator node id
         self.multichain_nodes: Dict[str, MultichainNode] = {}
         self._req_counter = 0
         self._id_counter = 0
@@ -1264,7 +1229,6 @@ class World:
         # coordinator to be spamming)
         self.start_sign_refusals: Set[str] = set()
         self._member_rotation: Dict[SidechainId, int] = {}
-        self.net.on_fault_armed(self._fault_armed)
 
     # -- ids and replies -----------------------------------------------------
 
@@ -1279,23 +1243,23 @@ class World:
                         + self._id_counter.to_bytes(8, "big"))
         return CrosschainTxId(int.from_bytes(raw, "big"))
 
-    def reply(self, sender: str, msg: Message, mtype: str, body: dict,
-              latency: Optional[int] = None) -> None:
-        self.net.send(Message(sender, msg.sender, mtype, body,
-                              reply_to=msg.req_id), latency=latency)
+    def send(self, msg: Message) -> None:
+        """Send msg after intra_latency between validators of one
+        sidechain, else after cross_latency."""
+        chain = self._sidechain_of.get(msg.sender)
+        same = chain is not None and chain is self._sidechain_of.get(msg.recipient)
+        self.net.send(msg, self.config.intra_latency if same
+                      else self.config.cross_latency)
 
-    def _fault_armed(self, spec: FaultSpec) -> None:
-        if spec.kind == REMOVE_VALIDATOR and spec.node:
-            # removal behaves like a failure; rekeying only happens when
-            # a scenario explicitly triggers it
-            self.net._crash(spec.node)
+    def reply(self, sender: str, msg: Message, mtype: str, body: dict) -> None:
+        self.send(Message(sender, msg.sender, mtype, body, reply_to=msg.req_id))
 
     # -- topology ---------------------------------------------------------------
 
     def add_coordination_chain(self, chain_id: SidechainId,
                                contract_address: Optional[bytes] = None,
                                max_timeout_blocks: int = 1000,
-                               block_interval: Optional[int] = None,
+                               block_interval: int = DEFAULT_BLOCK_INTERVAL,
                                grace_window: int = 16) -> CoordinationChain:
         from .hashing import keccak256
         if contract_address is None:
@@ -1303,14 +1267,13 @@ class World:
         chain = CoordinationChain(
             chain_id=chain_id, contract_address=contract_address,
             scheme=self.scheme, max_timeout_blocks=max_timeout_blocks,
-            grace_window=grace_window)
+            grace_window=grace_window, block_interval=block_interval)
         ref = (chain_id, contract_address)
         self.coordination[ref] = chain
         node_id = f"coord:{chain_id.short()}"
         self._coordination_nodes[ref] = node_id
         self.net.register(node_id, _CoordinationNode(self, chain, node_id))
-        self.net.bind_clock(node_id, chain,
-                            block_interval or self.config.coordination_block_interval)
+        self.net.bind_clock(node_id, chain)
         return chain
 
     def coordination_node_id(self, tx: CrosschainTransaction) -> str:
@@ -1325,7 +1288,7 @@ class World:
                       view_allowed: Optional[Set[bytes]] = None,
                       trusted_coordination: Optional[Set[tuple]] = None,
                       max_lock_horizon: Optional[int] = None,
-                      block_interval: Optional[int] = None) -> Sidechain:
+                      block_interval: int = DEFAULT_BLOCK_INTERVAL) -> Sidechain:
         if threshold is None:
             config = ThresholdConfig.from_fault_tolerance(validators, fault_tolerance)
         else:
@@ -1335,12 +1298,13 @@ class World:
         sidechain = Sidechain(self, sidechain_id, config, keygen_seed,
                               tx_allowed=tx_allowed, view_allowed=view_allowed,
                               trusted_coordination=trusted_coordination,
-                              max_lock_horizon=max_lock_horizon)
+                              max_lock_horizon=max_lock_horizon,
+                              block_interval=block_interval)
         self.sidechains[sidechain_id] = sidechain
         for validator in sidechain.validators:
             self.net.register(validator.node_id, validator)
-        self.net.bind_clock(f"chain:{sidechain_id.short()}", sidechain,
-                            block_interval or self.config.sidechain_block_interval)
+            self._sidechain_of[validator.node_id] = sidechain
+        self.net.bind_clock(f"chain:{sidechain_id.short()}", sidechain)
         for chain in self.coordination.values():
             chain.register_pubkey(sidechain_id, sidechain.group_public_key,
                                   bootstrap=True)
@@ -1446,7 +1410,7 @@ class World:
         def evaluate(node: CrosschainTransaction) -> bytes:
             frame = CallFrame.for_tx(node)
             for pos in frame.view_positions():
-                frame.view_results[pos] = evaluate(frame.expected[pos].subtree)
+                frame.view_results[pos] = evaluate(frame.expected[pos])
             state = self.sidechains[node.target_sidechain_id].state
             return state.read_view(node.to, node.data, policy=policy,
                                    frame=frame, caller=mn.account.address)

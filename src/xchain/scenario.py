@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import yaml
 
 from .accounts import AccountKey
-from .coordination import UnknownEntryError
+from .coordination import DEFAULT_BLOCK_INTERVAL, UnknownEntryError
 from .engine import (
     CallSpec,
     ORIGINATING_STEPS,
@@ -170,7 +170,7 @@ class _Runner:
             chain = self.world.add_coordination_chain(
                 chain_id,
                 max_timeout_blocks=int(spec.get("max_timeout_blocks", 1000)),
-                block_interval=spec.get("block_interval"),
+                block_interval=int(spec.get("block_interval", DEFAULT_BLOCK_INTERVAL)),
                 grace_window=int(spec.get("grace_window", 16)))
             self.coordination_refs[chain_id.value] = (chain_id, chain.contract_address)
 
@@ -189,7 +189,7 @@ class _Runner:
                 view_allowed=self._allow_set(spec.get("allow_view")),
                 trusted_coordination=self._trust_set(spec.get("trusted")),
                 max_lock_horizon=spec.get("max_lock_horizon"),
-                block_interval=spec.get("block_interval"))
+                block_interval=int(spec.get("block_interval", DEFAULT_BLOCK_INTERVAL)))
             for label, amount in (spec.get("balances") or {}).items():
                 account = self._account(label)
                 self.world.sidechains[chain_id].state.set_balance(
@@ -642,20 +642,36 @@ class SweepReport:
         return out
 
 
+def _swept_action(doc: dict) -> dict:
+    """The first crosschain_tx action: the one a sweep faults and judges."""
+    for action in doc.get("actions", []):
+        if action.get("kind") == "crosschain_tx":
+            if "alias" not in action:
+                raise ScenarioError("the swept crosschain_tx action needs an alias")
+            return action
+    raise ScenarioError("sweep needs a crosschain_tx action")
+
+
+def _asserts_failure(doc: dict, alias: str) -> bool:
+    """The scenario asserts that the transaction under alias fails."""
+    return any(spec.get("tx") == alias
+               and (spec["kind"] == "all_rounds_failed"
+                    or spec["kind"] == "tx_outcome" and spec.get("expect") == "failed")
+               for spec in doc.get("assertions", []))
+
+
 def build_sweep_cells(scenario: Scenario, fault_kinds: List[str]) -> List[SweepCell]:
     """Enumerate sweep cells against the scenario's first crosschain
     transaction: coordinator crash points for every protocol step on the
     originating, subordinate and view sidechains, validator crashes, and
     message drops. A drop of subtx_ready or view_reply is swept only when
-    the transaction has a subordinate transaction or view to send it."""
+    the transaction has a subordinate transaction or view to send it.
+    Every cell expects a transaction the scenario asserts fails not to
+    commit."""
     probe = _Runner(scenario.doc, scenario.seed, [], None)
     probe.build()
     world = probe.world
-    actions = [a for a in scenario.doc.get("actions", [])
-               if a.get("kind") == "crosschain_tx"]
-    if not actions:
-        raise ScenarioError("sweep needs a crosschain_tx action")
-    action = actions[0]
+    action = _swept_action(scenario.doc)
     mn = world.multichain_nodes[action["node"]]
     _, tx = probe._build_tx(action, probe._coordination_ref(action.get("coordination")))
 
@@ -730,25 +746,28 @@ def build_sweep_cells(scenario: Scenario, fault_kinds: List[str]) -> List[SweepC
             name="drop:submit_reply",
             faults=[FaultSpec(kind="drop_message", mtype="submit_reply")],
             expected="not_committed"))
+    if _asserts_failure(scenario.doc, action["alias"]):
+        for cell in cells:
+            cell.expected = "not_committed"
     return cells
 
 
 def run_sweep(scenario: Scenario, fault_kinds: Optional[List[str]] = None,
               seed: Optional[int] = None) -> SweepReport:
+    """Run every cell; a cell passes when every transaction of the run
+    is atomic and the swept transaction's outcome is the expected one."""
     kinds = fault_kinds or ["crash_node", "remove_validator", "drop_message"]
     cells = build_sweep_cells(scenario, kinds)
+    alias = _swept_action(scenario.doc)["alias"]
     report = SweepReport()
     for cell in cells:
         result = scenario.run(seed=seed, extra_faults=cell.faults)
         world = result.world
-        got = "not_committed"
-        atomic = True
-        for handles in result.handles.values():
-            for handle in handles:
-                if _atomicity_problem(world, handle.crosschain_tx_id) is not None:
-                    atomic = False
-                if world.committed_contracts(handle.crosschain_tx_id):
-                    got = "committed"
+        atomic = all(_atomicity_problem(world, handle.crosschain_tx_id) is None
+                     for handles in result.handles.values() for handle in handles)
+        committed = any(world.committed_contracts(handle.crosschain_tx_id)
+                        for handle in result.handles.get(alias, []))
+        got = "committed" if committed else "not_committed"
         ok = atomic and got == cell.expected
         report.cells.append((cell, got, atomic, ok))
     return report

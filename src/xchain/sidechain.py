@@ -14,7 +14,7 @@ for ordinary single-chain transactions.
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .hashing import keccak256
 from .wire import (
@@ -108,48 +108,26 @@ class Contract:
     lock: LockState = field(default_factory=LockState)
 
 
-@dataclass(frozen=True)
-class ExpectedCall:
-    is_view: bool
-    target_sidechain_id: SidechainId
-    to: bytes
-    data: bytes
-    subtree: Optional[CrosschainTransaction] = None
-
-    def matches(self, is_view: bool, chain: SidechainId, to: bytes,
-                data: bytes) -> bool:
-        return (self.is_view == is_view and self.target_sidechain_id == chain
-                and self.to == to and self.data == data)
-
-
 @dataclass
 class CallFrame:
-    """Ordered expectations from the signed tree for one function call,
-    plus collected view results keyed by position."""
+    """The signed subordinate nodes one function call must emit, in
+    order, plus collected view results keyed by position."""
 
-    expected: List[ExpectedCall]
+    expected: Sequence[CrosschainTransaction]
     cursor: int = 0
     view_results: Dict[int, bytes] = field(default_factory=dict)
 
     @classmethod
     def for_tx(cls, tx: CrosschainTransaction) -> "CallFrame":
-        expected = [
-            ExpectedCall(
-                is_view=(sub.tx_type is TxType.SUBORDINATE_VIEW),
-                target_sidechain_id=sub.target_sidechain_id,
-                to=sub.to,
-                data=sub.data,
-                subtree=sub,
-            )
-            for sub in tx.subordinates
-        ]
-        return cls(expected=expected)
+        return cls(expected=tx.subordinates)
 
     def view_positions(self) -> List[int]:
-        return [i for i, e in enumerate(self.expected) if e.is_view]
+        return [i for i, node in enumerate(self.expected)
+                if node.tx_type is TxType.SUBORDINATE_VIEW]
 
     def tx_positions(self) -> List[int]:
-        return [i for i, e in enumerate(self.expected) if not e.is_view]
+        return [i for i, node in enumerate(self.expected)
+                if node.tx_type is not TxType.SUBORDINATE_VIEW]
 
 
 @dataclass
@@ -278,7 +256,9 @@ class HandlerHost:
             raise ExecutionError(
                 CALL_MISMATCH, "call emitted beyond the signed call list")
         expected = frame.expected[frame.cursor]
-        if not expected.matches(is_view, chain, to, data):
+        if not ((expected.tx_type is TxType.SUBORDINATE_VIEW) == is_view
+                and expected.target_sidechain_id == chain
+                and expected.to == to and expected.data == data):
             raise ExecutionError(
                 CALL_MISMATCH,
                 f"emitted {'view' if is_view else 'tx'} to "

@@ -3,15 +3,18 @@
 A single-threaded scheduler executes events in (tick, sequence) order:
 message deliveries, timer expiries and scenario actions. Coordination
 and sidechain block clocks are bound to the tick stream (block_number =
-tick // interval) and advance exactly at block boundaries as simulated
-time moves. The full run is captured as a line-oriented trace whose
-byte content is a pure function of (scenario, seed). It is the one event
-log: lock and finalize records also carry their transaction, unrendered.
+tick // the chain's block_interval) and advance exactly at block
+boundaries as simulated time moves. The full run is captured as a
+line-oriented trace whose byte content is a pure function of (scenario,
+seed). It is the one event log: lock and finalize records also carry
+their transaction, unrendered.
 
 Faults arm on a named protocol step or at a tick, and act on node
 crashes, message drops/delays, partitions, share corruption and
-validator removal. Crashed nodes receive no deliveries and fire no
-timers after their crash instant.
+validator removal. A removed validator crashes: removal behaves like a
+failure, and rekeying happens only where a scenario triggers it.
+Crashed nodes receive no deliveries and fire no timers after their
+crash instant.
 """
 
 import hashlib
@@ -276,7 +279,6 @@ class SimNet:
         self._faults: List[_ArmedFault] = []
         self._pending_faults: List[FaultSpec] = []
         self._clocks: List[tuple] = []  # (name, chain_obj, interval)
-        self._fault_listeners: List[Callable] = []
         self.tick_limit_hit = False
 
     # -- registration ------------------------------------------------------
@@ -286,14 +288,12 @@ class SimNet:
             raise FaultError(f"duplicate node id {node_id}")
         self._nodes[node_id] = node
 
-    def bind_clock(self, name: str, chain, interval: int) -> None:
-        """Drive chain.advance_block so block_number == tick // interval."""
-        if interval < 1:
+    def bind_clock(self, name: str, chain) -> None:
+        """Drive chain.advance_block so that block_number ==
+        tick // chain.block_interval."""
+        if chain.block_interval < 1:
             raise FaultError("block interval must be >= 1")
-        self._clocks.append((name, chain, interval))
-
-    def on_fault_armed(self, listener: Callable) -> None:
-        self._fault_listeners.append(listener)
+        self._clocks.append((name, chain, chain.block_interval))
 
     # -- trace --------------------------------------------------------------
 
@@ -323,9 +323,7 @@ class SimNet:
         armed = _ArmedFault(spec=spec, armed_at=self.tick, remaining=spec.count)
         self._faults.append(armed)
         self.record(spec.node or "-", "fault", f"armed:{spec.kind}", spec)
-        for listener in self._fault_listeners:
-            listener(spec)
-        if spec.kind == CRASH_NODE and spec.node is not None:
+        if spec.kind in (CRASH_NODE, REMOVE_VALIDATOR) and spec.node is not None:
             self._crash(spec.node)
 
     def _crash(self, node_id: str) -> None:

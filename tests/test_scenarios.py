@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from xchain.cli import main
 from xchain.coordination import CoordinationChain, CoordinationError, EffectiveStatus
 from xchain.scenario import Scenario, ScenarioError
-from xchain.simnet import FaultSpec
+from xchain.simnet import FaultSpec, SimNet
 from xchain.wire import CrosschainTxId, SidechainId
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
@@ -113,12 +113,19 @@ def test_sweep_cells_cover_all_roles():
 
 def test_atomic_swap_sweep_passes_every_cell():
     """atomic_swap's transaction has subordinate transactions but no
-    view, so no cell drops a view_reply it never sends."""
+    view, so no cell drops a view_reply it never sends. The sweeps of
+    scenarios whose first transaction fails, or that run further
+    transactions beside it, pass every cell too: a cell judges the swept
+    transaction alone."""
     from xchain.scenario import run_sweep
     report = run_sweep(Scenario.load(str(SCENARIO_DIR / "atomic_swap.scn")))
     names = [cell.name for cell, *_ in report.cells]
     assert "drop:subtx_ready" in names and "drop:view_reply" not in names
     assert [line for line in report.lines() if line.startswith("[FAIL]")] == []
+    for name in ("nonlockable.scn", "conditional_buy_mismatch.scn",
+                 "timeout_liveness.scn"):
+        report = run_sweep(Scenario.load(str(SCENARIO_DIR / name)))
+        assert [line for line in report.lines() if line.startswith("[FAIL]")] == [], name
 
 
 def _late_submissions(extra_delay, count):
@@ -175,6 +182,48 @@ def test_handle_follows_coordination_record(fault, committed, submitted, monkeyp
     assert len(world.committed_contracts(handle.crosschain_tx_id)) == (2 if committed else 0)
     assert world.atomicity_ok(handle.crosschain_tx_id)
     assert calls == submitted
+
+
+def test_locks_of_a_timed_out_transaction_finalize_at_the_global_timeout():
+    """timeout_liveness's coordination chain has 4-tick blocks. Each
+    lock of ``doomed`` is finalized by the tick at which its entry times
+    out on that chain, plus the resolve timer lag."""
+    result = Scenario.load(str(SCENARIO_DIR / "timeout_liveness.scn")).run()
+    world = result.world
+    (handle,) = result.handles["doomed"]
+    tx_id = handle.crosschain_tx_id
+    chain = world.coordination[handle.coordination_ref]
+    deadline = (chain.timeout_tick(tx_id, handle.originating_sidechain_id)
+                + world.config.resolve_timer_lag)
+    assert deadline == 18
+    assert handle.failure_reason == "ready-timeout"
+    finalized = world.finalize_decisions(tx_id)
+    assert len(finalized) == len(world.participating_contracts(tx_id)) == 2
+    assert all(entry["tick"] <= deadline for entry in finalized)
+
+
+@pytest.mark.parametrize("name", ["conditional_buy.scn", "atomic_swap.scn"])
+def test_hop_latency_follows_from_the_two_endpoints(name, monkeypatch):
+    """A message between validators of one sidechain takes intra_latency,
+    every other message cross_latency."""
+    sent = []
+    plain = SimNet.send
+
+    def spy(net, msg, latency=None):
+        sent.append((msg, latency))
+        plain(net, msg, latency)
+
+    monkeypatch.setattr(SimNet, "send", spy)
+    world = Scenario.load(str(SCENARIO_DIR / name)).run().world
+    chain_of = {validator.node_id: chain_id
+                for chain_id, sidechain in world.sidechains.items()
+                for validator in sidechain.validators}
+    intra, cross = world.config.intra_latency, world.config.cross_latency
+    assert intra != cross
+    for msg, latency in sent:
+        same = msg.sender in chain_of and chain_of[msg.sender] == chain_of.get(msg.recipient)
+        assert latency == (intra if same else cross), msg
+    assert {latency for _, latency in sent} == {intra, cross}
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)

@@ -170,6 +170,7 @@ def test_corrupt_share_honours_count():
 
 def test_block_clock_binding():
     class Chain:
+        block_interval = 10
         block_number = 0
 
         def advance_block(self, n):
@@ -177,7 +178,7 @@ def test_block_clock_binding():
 
     net = SimNet(seed=1)
     chain = Chain()
-    net.bind_clock("coord", chain, interval=10)
+    net.bind_clock("coord", chain)
     Recorder(net, "a")
     net.send(Message("x", "a", "late", {}), latency=35)
     net.run_until_quiescent()
