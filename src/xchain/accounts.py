@@ -26,7 +26,6 @@ with a chain identifier; replay protection comes from the sidechain
 identifiers carried in the transaction body instead.
 """
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Tuple
 
@@ -119,11 +118,11 @@ def recover_digest(digest: bytes, v: int, r: int, s: int) -> bytes:
     return _point_address(point)
 
 
-@dataclass(frozen=True)
 class AccountKey:
     """Convenience wrapper pairing a private scalar with its address."""
 
-    private_key: int
+    def __init__(self, private_key: int):
+        self.private_key = private_key
 
     @cached_property
     def address(self) -> bytes:

@@ -16,10 +16,16 @@ EXIT_PARSE = 2
 
 
 def _seed_option(seed):
+    """--seed, else XCHAIN_SIM_SEED; a ScenarioError if that is no integer."""
     if seed is not None:
         return seed
     env = os.environ.get("XCHAIN_SIM_SEED")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ScenarioError(f"XCHAIN_SIM_SEED must be an integer, got {env!r}") from None
 
 
 @click.group()

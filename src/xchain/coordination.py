@@ -12,7 +12,6 @@ happen on the simulation event loop only, reads are pure snapshots.
 """
 
 import enum
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Optional
 
@@ -69,17 +68,21 @@ def entry_key(crosschain_tx_id, originating_sidechain_id: SidechainId) -> bytes:
                      + originating_sidechain_id.to_bytes())
 
 
-@dataclass
 class CoordinationEntry:
-    state: EntryState
-    timeout_block: int
+    __slots__ = ("state", "timeout_block")
+
+    def __init__(self, state: EntryState, timeout_block: int):
+        self.state = state
+        self.timeout_block = timeout_block
 
 
-@dataclass
 class _KeyRecord:
-    current: object
-    previous: object = None
-    previous_expiry_block: int = -1
+    __slots__ = ("current", "previous", "previous_expiry_block")
+
+    def __init__(self, current):
+        self.current = current
+        self.previous = None
+        self.previous_expiry_block = -1
 
 
 def key_update_payload(sidechain_id: SidechainId, new_key_bytes: bytes) -> bytes:
@@ -87,19 +90,21 @@ def key_update_payload(sidechain_id: SidechainId, new_key_bytes: bytes) -> bytes
     return rlp.encode([b"pubkey-update", sidechain_id.value, new_key_bytes])
 
 
-@dataclass
 class CoordinationChain:
     """State of one coordination contract plus its chain's block clock."""
 
-    chain_id: SidechainId
-    contract_address: bytes
-    scheme: object  # ThresholdScheme used to verify message signatures
-    max_timeout_blocks: int = 1000
-    grace_window: int = 16  # blocks an old sidechain key stays verifiable
-    block_interval: int = DEFAULT_BLOCK_INTERVAL  # ticks per block
-    block_number: int = 0
-    entries: Dict[bytes, CoordinationEntry] = field(default_factory=dict)
-    pubkeys: Dict[SidechainId, _KeyRecord] = field(default_factory=dict)
+    def __init__(self, chain_id: SidechainId, contract_address: bytes,
+                 scheme, max_timeout_blocks: int = 1000, grace_window: int = 16,
+                 block_interval: int = DEFAULT_BLOCK_INTERVAL):
+        self.chain_id = chain_id
+        self.contract_address = contract_address
+        self.scheme = scheme  # ThresholdScheme used to verify message signatures
+        self.max_timeout_blocks = max_timeout_blocks
+        self.grace_window = grace_window  # blocks an old sidechain key stays verifiable
+        self.block_interval = block_interval  # ticks per block
+        self.block_number = 0
+        self.entries: Dict[bytes, CoordinationEntry] = {}
+        self.pubkeys: Dict[SidechainId, _KeyRecord] = {}
 
     # -- chain clock --------------------------------------------------------
 

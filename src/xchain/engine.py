@@ -39,7 +39,7 @@ equals the coordination contract's terminal status. The World checks it
 on the trace's lock and finalize records; its audit_log derives from them.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from functools import lru_cache
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -176,7 +176,6 @@ def _common_signer(tx: CrosschainTransaction) -> bytes:
 
 # --- awaits yielded by coordinator flows ---------------------------------------
 
-@dataclass
 class Collect:
     """Resume when every key has a value, when ``enough`` holds for the
     values collected so far, or at the deadline; ``enough`` sees every
@@ -184,26 +183,38 @@ class Collect:
     whose values are (sender, body) replies, or subordinate transaction
     hashes, whose values are ready or error message bodies."""
 
-    keys: Collection
-    deadline: int
-    enough: Optional[Callable] = None
+    __slots__ = ("keys", "deadline", "enough")
+
+    def __init__(self, keys: Collection, deadline: int,
+                 enough: Optional[Callable] = None):
+        self.keys = keys
+        self.deadline = deadline
+        self.enough = enough
 
 
-@dataclass
 class Sleep:
-    ticks: int
+    __slots__ = ("ticks",)
+
+    def __init__(self, ticks: int):
+        self.ticks = ticks
 
 
-@dataclass
 class TxHandle:
     """Resolves to ('committed',) or ('failed', reason); stays None if
     the submitting coordinator crashed before answering."""
 
-    crosschain_tx_id: CrosschainTxId
-    originating_sidechain_id: SidechainId
-    coordination_ref: Tuple[SidechainId, bytes]
-    alias: str = ""
-    outcome: Optional[tuple] = None
+    __slots__ = ("crosschain_tx_id", "originating_sidechain_id",
+                 "coordination_ref", "alias", "outcome")
+
+    def __init__(self, crosschain_tx_id: CrosschainTxId,
+                 originating_sidechain_id: SidechainId,
+                 coordination_ref: Tuple[SidechainId, bytes],
+                 alias: str = "", outcome: Optional[tuple] = None):
+        self.crosschain_tx_id = crosschain_tx_id
+        self.originating_sidechain_id = originating_sidechain_id
+        self.coordination_ref = coordination_ref
+        self.alias = alias
+        self.outcome = outcome
 
     @property
     def committed(self) -> bool:
@@ -216,26 +227,42 @@ class TxHandle:
         return None
 
 
-@dataclass
 class WorldConfig:
-    scheme: str = "modp"
-    intra_latency: int = 1      # hops between validators of one sidechain
-    cross_latency: int = 3      # every other hop
-    jitter: int = 0
-    signing_round_timeout: int = 30
-    freshness_window: int = 8   # blocks a view result block number may lag
-    max_lock_horizon: int = 500  # largest remaining timeout validators accept
-    resolve_timer_lag: int = 2  # ticks past the timeout block boundary
-    locked_view_policy: LockedViewPolicy = LockedViewPolicy.FAIL_IF_LOCKED
+    """World-wide settings; ``__slots__`` lists every settable key."""
+
+    __slots__ = ("scheme", "intra_latency", "cross_latency", "jitter",
+                 "signing_round_timeout", "freshness_window", "max_lock_horizon",
+                 "resolve_timer_lag", "locked_view_policy")
+
+    def __init__(self, scheme: str = "modp",
+                 intra_latency: int = 1,      # hops between validators of one sidechain
+                 cross_latency: int = 3,      # every other hop
+                 jitter: int = 0,
+                 signing_round_timeout: int = 30,
+                 freshness_window: int = 8,   # blocks a view result block number may lag
+                 max_lock_horizon: int = 500,  # largest remaining timeout validators accept
+                 resolve_timer_lag: int = 2,  # ticks past the timeout block boundary
+                 locked_view_policy: LockedViewPolicy = LockedViewPolicy.FAIL_IF_LOCKED):
+        self.scheme = scheme
+        self.intra_latency = intra_latency
+        self.cross_latency = cross_latency
+        self.jitter = jitter
+        self.signing_round_timeout = signing_round_timeout
+        self.freshness_window = freshness_window
+        self.max_lock_horizon = max_lock_horizon
+        self.resolve_timer_lag = resolve_timer_lag
+        self.locked_view_policy = locked_view_policy
 
 
-@dataclass
 class _Context:
     """A node's memory of a crosschain transaction it participated in."""
 
-    holder: LockHolder
-    locked: Set[bytes] = field(default_factory=set)
-    timer_armed: bool = False
+    __slots__ = ("holder", "locked", "timer_armed")
+
+    def __init__(self, holder: LockHolder):
+        self.holder = holder
+        self.locked: Set[bytes] = set()
+        self.timer_armed = False
 
 
 class _CoordinationNode:
@@ -266,13 +293,15 @@ class _CoordinationNode:
         pass
 
 
-@dataclass
 class _FlowRec:
-    fid: int
-    gen: object
-    awaiting: object = None
-    generation: int = 0
-    collected: dict = field(default_factory=dict)
+    __slots__ = ("fid", "gen", "awaiting", "generation", "collected")
+
+    def __init__(self, fid: int, gen):
+        self.fid = fid
+        self.gen = gen
+        self.awaiting = None
+        self.generation = 0
+        self.collected: dict = {}
 
 
 class ValidatorNode:
@@ -1123,14 +1152,17 @@ class MultichainNode:
         return self.trusted is None or (chain_id, address) in self.trusted
 
 
-@dataclass(frozen=True)
 class CallSpec:
     """Entry point for building a crosschain transaction or view."""
 
-    sidechain_id: SidechainId
-    to: bytes
-    data: bytes
-    value: int = 0
+    __slots__ = ("sidechain_id", "to", "data", "value")
+
+    def __init__(self, sidechain_id: SidechainId, to: bytes, data: bytes,
+                 value: int = 0):
+        self.sidechain_id = sidechain_id
+        self.to = to
+        self.data = data
+        self.value = value
 
 
 class _TreeBuilder:

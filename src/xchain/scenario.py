@@ -8,7 +8,6 @@ resolved after deployment.
 """
 
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import yaml
@@ -38,6 +37,25 @@ class AssertionFailure(Exception):
     pass
 
 
+# libyaml's parser where the installed PyYAML was built with it. Both
+# loaders share the safe constructor and resolver, so they build equal
+# documents and refuse the same tags.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _as_int(value, what: str) -> int:
+    """value as an int; a ScenarioError naming what it is otherwise."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _int(spec: dict, key: str, default=None) -> int:
+    """spec[key], or default when the key is absent, as an int."""
+    return _as_int(spec.get(key, default), key)
+
+
 def parse_sidechain_id(raw) -> SidechainId:
     if isinstance(raw, SidechainId):
         return raw
@@ -45,9 +63,12 @@ def parse_sidechain_id(raw) -> SidechainId:
         return SidechainId(raw)
     if isinstance(raw, str):
         text = raw.strip().lower()
-        if text.startswith("private:"):
-            return SidechainId.private(int(text.split(":", 1)[1], 0))
-        return SidechainId(int(text, 0))
+        try:
+            if text.startswith("private:"):
+                return SidechainId.private(int(text.split(":", 1)[1], 0))
+            return SidechainId(int(text, 0))
+        except ValueError:
+            pass
     raise ScenarioError(f"cannot parse sidechain id from {raw!r}")
 
 
@@ -64,57 +85,64 @@ def parse_policy(raw: str) -> LockedViewPolicy:
         raise ScenarioError(f"unknown locked-view policy {raw!r}") from None
 
 
-@dataclass
 class AssertionResult:
-    kind: str
-    ok: bool
-    detail: str
+    __slots__ = ("kind", "ok", "detail")
+
+    def __init__(self, kind: str, ok: bool, detail: str):
+        self.kind = kind
+        self.ok = ok
+        self.detail = detail
 
     def line(self) -> str:
         return f"[{'PASS' if self.ok else 'FAIL'}] {self.kind}: {self.detail}"
 
 
-@dataclass
 class ScenarioResult:
-    name: str
-    world: World
-    handles: Dict[str, List[TxHandle]]
-    view_results: Dict[str, bytes]
-    assertions: List[AssertionResult]
-    elapsed: float
+    __slots__ = ("name", "world", "handles", "view_results", "assertions", "elapsed")
+
+    def __init__(self, name: str, world: World, handles: Dict[str, List[TxHandle]],
+                 view_results: Dict[str, bytes], assertions: List[AssertionResult],
+                 elapsed: float):
+        self.name = name
+        self.world = world
+        self.handles = handles
+        self.view_results = view_results
+        self.assertions = assertions
+        self.elapsed = elapsed
 
     @property
     def ok(self) -> bool:
         return all(a.ok for a in self.assertions)
 
 
-@dataclass
 class Scenario:
     """Parsed scenario document, runnable any number of times."""
 
-    name: str
-    description: str
-    seed: int
-    doc: dict
-    path: Optional[str] = None
+    def __init__(self, name: str, description: str, seed: int, doc: dict,
+                 path: Optional[str] = None):
+        self.name = name
+        self.description = description
+        self.seed = seed
+        self.doc = doc
+        self.path = path
 
     @classmethod
     def load(cls, path: str) -> "Scenario":
         try:
             with open(path) as fh:
-                doc = yaml.safe_load(fh)
+                doc = yaml.load(fh, Loader=_YAML_LOADER)
         except (OSError, yaml.YAMLError) as exc:
             raise ScenarioError(f"cannot parse {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ScenarioError(f"{path}: scenario must be a mapping")
         return cls(name=doc.get("name", path), description=doc.get("description", ""),
-                   seed=int(doc.get("seed", 0)), doc=doc, path=path)
+                   seed=_int(doc, "seed", 0), doc=doc, path=path)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
         return cls(name=doc.get("name", "inline"),
                    description=doc.get("description", ""),
-                   seed=int(doc.get("seed", 0)), doc=doc)
+                   seed=_int(doc, "seed", 0), doc=doc)
 
     # -- execution ------------------------------------------------------------
 
@@ -126,7 +154,7 @@ class Scenario:
         runner = _Runner(self.doc, seed if seed is not None else self.seed,
                          extra_faults or [], locked_view_policy)
         runner.build()
-        runner.execute(max_ticks or int(self.doc.get("max_ticks", 100_000)))
+        runner.execute(max_ticks or _int(self.doc, "max_ticks", 100_000))
         assertions = runner.evaluate_assertions()
         return ScenarioResult(
             name=self.name, world=runner.world, handles=runner.handles,
@@ -158,7 +186,7 @@ class _Runner:
             cfg_doc["locked_view_policy"] = self._policy_override
         config = WorldConfig()
         for key, value in cfg_doc.items():
-            if not hasattr(config, key):
+            if key not in WorldConfig.__slots__:
                 raise ScenarioError(f"unknown config key {key!r}")
             if key == "locked_view_policy":
                 value = parse_policy(value)
@@ -169,9 +197,9 @@ class _Runner:
             chain_id = parse_sidechain_id(spec["id"])
             chain = self.world.add_coordination_chain(
                 chain_id,
-                max_timeout_blocks=int(spec.get("max_timeout_blocks", 1000)),
-                block_interval=int(spec.get("block_interval", DEFAULT_BLOCK_INTERVAL)),
-                grace_window=int(spec.get("grace_window", 16)))
+                max_timeout_blocks=_int(spec, "max_timeout_blocks", 1000),
+                block_interval=_int(spec, "block_interval", DEFAULT_BLOCK_INTERVAL),
+                grace_window=_int(spec, "grace_window", 16))
             self.coordination_refs[chain_id.value] = (chain_id, chain.contract_address)
 
         for spec in doc.get("accounts", []):
@@ -182,18 +210,18 @@ class _Runner:
             chain_id = parse_sidechain_id(spec["id"])
             self.world.add_sidechain(
                 chain_id,
-                validators=int(spec.get("validators", 4)),
-                fault_tolerance=int(spec.get("fault_tolerance", 1)),
+                validators=_int(spec, "validators", 4),
+                fault_tolerance=_int(spec, "fault_tolerance", 1),
                 threshold=spec.get("threshold"),
                 tx_allowed=self._allow_set(spec.get("allow_tx")),
                 view_allowed=self._allow_set(spec.get("allow_view")),
                 trusted_coordination=self._trust_set(spec.get("trusted")),
                 max_lock_horizon=spec.get("max_lock_horizon"),
-                block_interval=int(spec.get("block_interval", DEFAULT_BLOCK_INTERVAL)))
+                block_interval=_int(spec, "block_interval", DEFAULT_BLOCK_INTERVAL))
             for label, amount in (spec.get("balances") or {}).items():
                 account = self._account(label)
                 self.world.sidechains[chain_id].state.set_balance(
-                    account.address, int(amount))
+                    account.address, _as_int(amount, f"balance of {label}"))
 
         for spec in doc.get("multichain_nodes", []):
             members = [self._sidechain(m).sidechain_id for m in spec["members"]]
@@ -216,14 +244,14 @@ class _Runner:
                     f"contract {spec['name']!r} names unknown handler {spec['handler']!r}")
             address = state.deploy(spec["handler"],
                                    lockable=bool(spec.get("lockable", False)),
-                                   balance=int(spec.get("balance", 0)))
+                                   balance=_int(spec, "balance", 0))
             self.contracts[spec["name"]] = (chain_id, address)
         for spec in deploy_specs:
             chain_id, address = self.contracts[spec["name"]]
             state = self.world.sidechains[chain_id].state
             contract = state.contract_at(address)
             for key, value in (spec.get("storage") or {}).items():
-                contract.storage[int(key)] = self._resolve_value(value)
+                contract.storage[_as_int(key, "storage key")] = self._resolve_value(value)
 
         for chain_id, sidechain in self.world.sidechains.items():
             self.initial_totals[chain_id] = sidechain.state.total_value()
@@ -271,7 +299,10 @@ class _Runner:
                     self._account(text.split(":", 1)[1]).address, "big")
             if text.startswith("@sidechain:"):
                 return parse_sidechain_id(text.split(":", 1)[1]).value
-            return int(text, 0)
+            try:
+                return int(text, 0)
+            except ValueError:
+                pass
         raise ScenarioError(f"cannot resolve storage value {value!r}")
 
     def _resolve_address(self, raw) -> bytes:
@@ -293,7 +324,7 @@ class _Runner:
         """The validator at a 1-based index of a declared sidechain."""
         sidechain = self._sidechain(chain_raw)
         try:
-            return sidechain.validator(int(index))
+            return sidechain.validator(_as_int(index, "index"))
         except ValueError as exc:
             raise ScenarioError(f"sidechain {chain_raw!r}: {exc}") from None
 
@@ -334,7 +365,7 @@ class _Runner:
             link=link,
             groups=groups,
             duration=spec.get("duration"),
-            extra_delay=int(spec.get("extra_delay", 0)),
+            extra_delay=_int(spec, "extra_delay", 0),
             count=spec.get("count"))
 
     # -- actions ---------------------------------------------------------------
@@ -351,7 +382,7 @@ class _Runner:
                 for a in spec.get("args", [])]
         data = encode_call(spec["function"], *args)
         return CallSpec(sidechain_id=chain_id, to=address, data=data,
-                        value=int(spec.get("value", 0)))
+                        value=_int(spec, "value", 0))
 
     def _coordination_ref(self, spec) -> tuple:
         if spec is None:
@@ -378,7 +409,7 @@ class _Runner:
 
     def _schedule_action(self, spec: dict) -> None:
         kind = spec.get("kind")
-        at = int(spec.get("at", 0))
+        at = _int(spec, "at", 0)
         if kind in ("crosschain_tx", "crosschain_view", "local_tx"):
             self._check_names(spec)
         if kind == "crosschain_tx":
@@ -389,7 +420,7 @@ class _Runner:
             self.world.net.call_soon(lambda: self._run_local_tx(spec), delay=at)
         elif kind == "rekey":
             chain_id = parse_sidechain_id(spec["sidechain"])
-            rekey_seed = int(spec.get("rekey_seed", self.seed + 1))
+            rekey_seed = _int(spec, "rekey_seed", self.seed + 1)
             self.world.net.call_soon(
                 lambda: self.world.rekey_sidechain(chain_id, rekey_seed), delay=at)
         else:
@@ -402,7 +433,7 @@ class _Runner:
                    else self.world.multichain_nodes[spec["node"]].account)
         tx = self.world.build_crosschain_tx(
             spec["node"], self._call_spec(spec["call"]),
-            timeout_blocks=int(spec.get("timeout_blocks", 30)),
+            timeout_blocks=_int(spec, "timeout_blocks", 30),
             coordination_ref=ref, account=account)
         return account, tx
 
@@ -432,9 +463,9 @@ class _Runner:
         corrected nonces and resubmit, up to the round budget. An
         optional seeded backoff jitter desynchronizes competing
         submitters."""
-        delay = int(retry.get("delay", 40))
-        rounds = int(retry.get("rounds", 10))
-        backoff_jitter = int(retry.get("jitter", 0))
+        delay = _int(retry, "delay", 40)
+        rounds = _int(retry, "rounds", 10)
+        backoff_jitter = _int(retry, "jitter", 0)
 
         def check():
             if handle.outcome is None:
@@ -499,6 +530,8 @@ class _Runner:
             return AssertionResult(kind, False, f"unknown assertion kind {kind!r}")
         try:
             ok, detail = checker(spec)
+        except ScenarioError:
+            raise  # the document is malformed, not the run
         except Exception as exc:
             ok, detail = False, f"assertion error: {exc}"
         return AssertionResult(kind, ok, detail)
@@ -525,7 +558,7 @@ class _Runner:
     def _check_storage_equals(self, spec) -> Tuple[bool, str]:
         chain_id, address = self.contracts[spec["contract"]]
         state = self.world.sidechains[chain_id].state
-        got = state.contract_at(address).storage.get(int(spec["key"]), 0)
+        got = state.contract_at(address).storage.get(_int(spec, "key"), 0)
         want = self._resolve_value(spec["value"])
         return got == want, (f"{spec['contract']}[{spec['key']}] = {got} "
                              f"(wanted {want})")
@@ -536,7 +569,7 @@ class _Runner:
         address = self._resolve_address(spec["address"])
         state = self.world.sidechains[chain_id].state
         got = state.balances.get(address, 0)
-        want = int(spec["value"])
+        want = _int(spec, "value")
         return got == want, (f"balance[{spec['address']}] = {got} (wanted {want})")
 
     def _check_atomicity(self, spec) -> Tuple[bool, str]:
@@ -563,7 +596,7 @@ class _Runner:
     def _check_trace_contains_reason(self, spec) -> Tuple[bool, str]:
         needle = spec["reason"]
         count = sum(1 for rec in self.world.net.trace if rec.reason == needle)
-        want = int(spec.get("count_at_least", 1))
+        want = _int(spec, "count_at_least", 1)
         return count >= want, f"reason {needle!r} seen {count} times (wanted >= {want})"
 
     def _check_balance_conservation(self, spec) -> Tuple[bool, str]:
@@ -595,7 +628,7 @@ class _Runner:
 
     def _check_all_rounds_failed(self, spec) -> Tuple[bool, str]:
         handles = self.handles.get(spec["tx"], [])
-        want_rounds = int(spec.get("rounds", len(handles) or 1))
+        want_rounds = _int(spec, "rounds", len(handles) or 1)
         failed = [h for h in handles if h.outcome is not None
                   and h.outcome[0] == "failed"]
         ok = len(handles) == want_rounds and len(failed) == want_rounds
@@ -618,16 +651,20 @@ def _atomicity_problem(world: World, tx_id) -> Optional[str]:
 # Fault sweeps: one run per (protocol step, fault) cell
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SweepCell:
-    name: str
-    faults: List[FaultSpec]
-    expected: str  # committed | not_committed
+    __slots__ = ("name", "faults", "expected")
+
+    def __init__(self, name: str, faults: List[FaultSpec], expected: str):
+        self.name = name
+        self.faults = faults
+        self.expected = expected  # committed | not_committed
 
 
-@dataclass
 class SweepReport:
-    cells: List[tuple] = field(default_factory=list)  # (cell, got, atomic, ok)
+    __slots__ = ("cells",)
+
+    def __init__(self):
+        self.cells: List[tuple] = []  # (cell, got, atomic, ok)
 
     @property
     def ok(self) -> bool:

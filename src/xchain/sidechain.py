@@ -63,13 +63,28 @@ class LockedViewPolicy(enum.Enum):
     ASSUME_COMMITTED = "assume-committed"
 
 
-@dataclass(frozen=True)
 class LockHolder:
-    """Identity of the crosschain transaction holding a contract lock."""
+    """Identity of the crosschain transaction holding a contract lock;
+    equal holders name the same transaction."""
 
-    crosschain_tx_id: object
-    originating_sidechain_id: SidechainId
-    coordination_ref: Tuple[SidechainId, bytes]
+    __slots__ = ("crosschain_tx_id", "originating_sidechain_id", "coordination_ref")
+
+    def __init__(self, crosschain_tx_id, originating_sidechain_id: SidechainId,
+                 coordination_ref: Tuple[SidechainId, bytes]):
+        self.crosschain_tx_id = crosschain_tx_id
+        self.originating_sidechain_id = originating_sidechain_id
+        self.coordination_ref = coordination_ref
+
+    def _key(self) -> tuple:
+        return (self.crosschain_tx_id, self.originating_sidechain_id, self.coordination_ref)
+
+    def __eq__(self, other):
+        if type(other) is not LockHolder:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def of_tx(cls, tx: CrosschainTransaction) -> "LockHolder":
@@ -92,30 +107,39 @@ class ProvisionalOverlay:
         self.balance_deltas[address] = self.balance_deltas.get(address, 0) + delta
 
 
-@dataclass
 class LockState:
-    status: LockStatus = LockStatus.UNLOCKED
-    holder: Optional[LockHolder] = None
-    provisional: Optional[ProvisionalOverlay] = None
+    __slots__ = ("status", "holder", "provisional")
+
+    def __init__(self, status: LockStatus = LockStatus.UNLOCKED,
+                 holder: Optional[LockHolder] = None,
+                 provisional: Optional[ProvisionalOverlay] = None):
+        self.status = status
+        self.holder = holder
+        self.provisional = provisional
 
 
-@dataclass
 class Contract:
-    address: bytes
-    handler_id: str
-    lockable: bool
-    storage: Dict[int, int] = field(default_factory=dict)
-    lock: LockState = field(default_factory=LockState)
+    __slots__ = ("address", "handler_id", "lockable", "storage", "lock")
+
+    def __init__(self, address: bytes, handler_id: str, lockable: bool,
+                 storage: Optional[Dict[int, int]] = None):
+        self.address = address
+        self.handler_id = handler_id
+        self.lockable = lockable
+        self.storage = {} if storage is None else storage
+        self.lock = LockState()
 
 
-@dataclass
 class CallFrame:
     """The signed subordinate nodes one function call must emit, in
     order, plus collected view results keyed by position."""
 
-    expected: Sequence[CrosschainTransaction]
-    cursor: int = 0
-    view_results: Dict[int, bytes] = field(default_factory=dict)
+    __slots__ = ("expected", "cursor", "view_results")
+
+    def __init__(self, expected: Sequence[CrosschainTransaction]):
+        self.expected = expected
+        self.cursor = 0
+        self.view_results: Dict[int, bytes] = {}
 
     @classmethod
     def for_tx(cls, tx: CrosschainTransaction) -> "CallFrame":
@@ -130,10 +154,12 @@ class CallFrame:
                 if node.tx_type is not TxType.SUBORDINATE_VIEW]
 
 
-@dataclass
 class ExecutionOutcome:
-    overlay: ProvisionalOverlay
-    result: bytes = b""
+    __slots__ = ("overlay", "result")
+
+    def __init__(self, overlay: ProvisionalOverlay, result: bytes = b""):
+        self.overlay = overlay
+        self.result = result
 
 
 def result_bytes(value) -> bytes:

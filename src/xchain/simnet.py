@@ -67,11 +67,13 @@ class FaultSpec:
             raise FaultError("partition fault needs two node groups")
 
 
-@dataclass
 class _ArmedFault:
-    spec: FaultSpec
-    armed_at: int
-    remaining: Optional[int]
+    __slots__ = ("spec", "armed_at", "remaining")
+
+    def __init__(self, spec: FaultSpec, armed_at: int, remaining: Optional[int]):
+        self.spec = spec
+        self.armed_at = armed_at
+        self.remaining = remaining
 
     def active(self, tick: int) -> bool:
         if self.spec.duration is not None and tick >= self.armed_at + self.spec.duration:
@@ -93,14 +95,19 @@ class _ArmedFault:
                 and (spec.node is None or spec.node in (msg.sender, msg.recipient)))
 
 
-@dataclass(frozen=True)
 class Message:
-    sender: str
-    recipient: str
-    mtype: str
-    body: dict
-    req_id: Optional[int] = None
-    reply_to: Optional[int] = None
+    """One network message; its body is traced, never the message itself."""
+
+    __slots__ = ("sender", "recipient", "mtype", "body", "req_id", "reply_to")
+
+    def __init__(self, sender: str, recipient: str, mtype: str, body: dict,
+                 req_id: Optional[int] = None, reply_to: Optional[int] = None):
+        self.sender = sender
+        self.recipient = recipient
+        self.mtype = mtype
+        self.body = body
+        self.req_id = req_id
+        self.reply_to = reply_to
 
 
 def _canon(obj) -> str:

@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Dict, List, Sequence
 
 from ..hashing import keccak256
-from . import bn254
 from .types import (
     Dealing,
     DealingInvalid,
@@ -33,7 +32,9 @@ from .types import (
     ThresholdSignature,
 )
 
-ORDER = bn254.N  # scalar field shared by both backends
+# The scalar field shared by both backends: bn254.N, written out so that
+# the modp backend never imports bn254 (a test pins the two equal).
+ORDER = 21888242871839275222246405745257275088548364400416034343698204186575808495617
 
 
 def _scalar_stream(domain: bytes, seed: int, count: int) -> List[int]:
@@ -117,33 +118,43 @@ class _ModPBackend(_Backend):
 
 
 class _Bn254Backend(_Backend):
+    """Each method imports ``bn254`` when it runs, so that a process
+    which never signs on bn254 never loads the curve module."""
+
     name = "bn254"
 
     def commit(self, scalar):
+        from . import bn254
         return bn254.g2_mul(bn254.G2, scalar)
 
     def commit_add(self, a, b):
+        from . import bn254
         return bn254.g2_add(a, b)
 
     def commit_scale(self, a, k):
+        from . import bn254
         return bn254.g2_mul(a, k)
 
     def commit_zero(self):
         return None
 
     def _hash_to_base(self, message: bytes):
+        from . import bn254
         return bn254.hash_to_g1(message)
 
     def sig_scale(self, base, scalar):
+        from . import bn254
         return bn254.g1_mul(base, scalar)
 
     def sig_add(self, a, b):
+        from . import bn254
         return bn254.g1_add(a, b)
 
     def sig_zero(self):
         return None
 
     def pair_check(self, public_key, message: bytes, sig_point) -> bool:
+        from . import bn254
         # e(H(m), pk) * e(-sig, G2) == 1
         if sig_point is not None and not bn254.g1_on_curve(sig_point):
             return False
@@ -153,6 +164,7 @@ class _Bn254Backend(_Backend):
         ])
 
     def commit_bytes(self, c) -> bytes:
+        from . import bn254
         return bn254.g2_to_bytes(c)
 
 

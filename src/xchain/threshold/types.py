@@ -28,21 +28,31 @@ class DealingInvalid(ThresholdError):
         super().__init__(f"invalid dealings from dealers {list(self.faulty_dealers)}")
 
 
-@dataclass(frozen=True)
 class ThresholdConfig:
-    """M-of-N signing parameters; f is the tolerated faulty validator count."""
+    """M-of-N signing parameters; f is the tolerated faulty validator count.
 
-    n: int
-    f: int
-    m: int
+    Compares and hashes by (n, f, m): it keys the memo of dealer keys."""
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidConfig(f"need at least one participant, got n={self.n}")
-        if not 1 <= self.m <= self.n:
-            raise InvalidConfig(f"threshold m={self.m} outside 1..{self.n}")
-        if self.f < 0:
-            raise InvalidConfig(f"negative fault tolerance f={self.f}")
+    __slots__ = ("n", "f", "m")
+
+    def __init__(self, n: int, f: int, m: int):
+        if n < 1:
+            raise InvalidConfig(f"need at least one participant, got n={n}")
+        if not 1 <= m <= n:
+            raise InvalidConfig(f"threshold m={m} outside 1..{n}")
+        if f < 0:
+            raise InvalidConfig(f"negative fault tolerance f={f}")
+        self.n = n
+        self.f = f
+        self.m = m
+
+    def __eq__(self, other):
+        if type(other) is not ThresholdConfig:
+            return NotImplemented
+        return (self.n, self.f, self.m) == (other.n, other.f, other.m)
+
+    def __hash__(self):
+        return hash((self.n, self.f, self.m))
 
     @classmethod
     def from_fault_tolerance(cls, n: int, f: int) -> "ThresholdConfig":
@@ -50,25 +60,34 @@ class ThresholdConfig:
         return cls(n=n, f=f, m=f + 1)
 
 
-@dataclass(frozen=True)
+# The share types stay dataclasses: tests and the engine's corrupt-share
+# fault derive variants with dataclasses.replace. Nothing reads their repr.
+
+@dataclass(frozen=True, repr=False)
 class KeyShare:
+    """One validator's secret share and the group key it belongs to."""
+
     index: int
     scalar: int
     group_public_key: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SignatureShare:
+    """One validator's partial signature over a message."""
+
     index: int
     point: Any
 
 
 @dataclass(frozen=True)
 class ThresholdSignature:
+    """A combined signature: one group element."""
+
     point: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Dealing:
     """One dealer's contribution to an aggregated key generation.
 

@@ -107,6 +107,8 @@ def _check_address(addr: bytes, what: str) -> bytes:
 
 @dataclass(frozen=True)
 class CrosschainTransaction:
+    """One node of a signed crosschain transaction tree."""
+
     tx_type: TxType
     coordination_blockchain_id: SidechainId
     coordination_contract_address: bytes
@@ -324,6 +326,9 @@ class MessageKind(enum.IntEnum):
 
 @dataclass(frozen=True)
 class ThresholdMessage:
+    """A message a sidechain threshold-signs: start, commit, ignore,
+    subordinate ready or view result."""
+
     kind: MessageKind
     originating_sidechain_id: SidechainId
     crosschain_tx_id: CrosschainTxId

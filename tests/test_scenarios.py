@@ -285,11 +285,44 @@ def test_cli_run_assertion_failure_exit_code(tmp_path):
     assert "[FAIL]" in result.output
 
 
-def test_cli_run_parse_error_exit_code(tmp_path):
+def _set(path, value):
+    """An edit of the conditional_buy document: the key at path, a
+    sequence of mapping keys and list indices, becomes value."""
+    def edit(doc):
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    None,
+    _set(["seed"], "abc"),
+    _set(["max_ticks"], "forever"),
+    _set(["sidechains", 0, "validators"], "four"),
+    _set(["sidechains", 0, "id"], "private:zz"),
+    _set(["sidechains", 0, "balances"], {"alice": "lots"}),
+    _set(["contracts", 0, "storage"], {"one": 1}),
+    _set(["actions", 0, "at"], "soon"),
+    lambda doc: doc["assertions"].append(
+        {"kind": "trace_contains_reason", "reason": "x", "count_at_least": "many"}),
+], ids=["broken-yaml", "seed", "max_ticks", "validators", "sidechain-id",
+        "balance", "storage-key", "action-at", "assertion-count"])
+def test_cli_run_parse_error_exit_code(edit, tmp_path):
+    """Malformed YAML, and a non-integer where the format wants an
+    integer, are parse errors (exit 2) that name the bad value, not
+    tracebacks."""
     broken = tmp_path / "broken.scn"
-    broken.write_text("]: not yaml [")
+    if edit is None:
+        broken.write_text("]: not yaml [")
+    else:
+        doc = yaml.safe_load((SCENARIO_DIR / "conditional_buy.scn").read_text())
+        edit(doc)
+        broken.write_text(yaml.safe_dump(doc))
     result = CliRunner().invoke(main, ["run", str(broken)])
-    assert result.exit_code == 2
+    assert result.exit_code == 2, result.output
+    assert "parse error" in result.output
 
 
 def test_cli_seed_env_fallback(tmp_path, monkeypatch):
@@ -302,6 +335,15 @@ def test_cli_seed_env_fallback(tmp_path, monkeypatch):
     CliRunner().invoke(main, ["run", str(SCENARIO_DIR / "conditional_buy.scn"),
                               "--seed", "99", "--trace-out", str(trace_b)])
     assert trace_a.read_text() == trace_b.read_text()
+
+
+def test_cli_seed_env_not_an_integer(monkeypatch):
+    monkeypatch.setenv("XCHAIN_SIM_SEED", "xyz")
+    for command in ("run", "sweep"):
+        result = CliRunner().invoke(
+            main, [command, str(SCENARIO_DIR / "conditional_buy.scn")])
+        assert result.exit_code == 2, result.output
+        assert "XCHAIN_SIM_SEED" in result.output and "'xyz'" in result.output
 
 
 def test_cli_trace_diff(tmp_path):
@@ -395,3 +437,40 @@ def test_sweep_worlds_derive_what_separately_loaded_scenarios_do():
     shared[0].rekey_sidechain(chain_id, seed=99)
     assert shared[0].sidechains[chain_id].group_public_key != old_key
     assert _derived_material(shared[1]) == _derived_material(separate[0])
+
+
+# --- YAML loaders ---------------------------------------------------------------
+
+LIBYAML = pytest.mark.skipif(not yaml.__with_libyaml__,
+                             reason="PyYAML is built without libyaml")
+LOADERS = [pytest.param("SafeLoader", id="python"),
+           pytest.param("CSafeLoader", id="libyaml", marks=LIBYAML)]
+
+
+def test_scenarios_load_with_libyaml_where_present():
+    from xchain import scenario
+    want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert scenario._YAML_LOADER is want
+
+
+@LIBYAML
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_yaml_loaders_agree_on_shipped_scenarios(name):
+    text = (SCENARIO_DIR / name).read_text()
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text", [
+    "]: not yaml [",
+    "name: x\nseed: [1, 2\n",
+    "name: !!python/object:os.system {}\n",
+    "name: !!python/name:os.system ''\n",
+], ids=["flow", "unclosed", "python-object", "python-name"])
+def test_bad_yaml_is_a_scenario_error_under_each_loader(loader, text, tmp_path, monkeypatch):
+    from xchain import scenario
+    monkeypatch.setattr(scenario, "_YAML_LOADER", getattr(yaml, loader))
+    path = tmp_path / "bad.scn"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match="cannot parse"):
+        Scenario.load(str(path))

@@ -207,7 +207,7 @@ def test_dkg_rejects_empty_and_duplicates(scheme):
 
 
 def test_message_hashed_to_base_once_per_backend(monkeypatch):
-    from xchain.threshold import scheme as scheme_module
+    from xchain.threshold import bn254, scheme as scheme_module
 
     calls = []
 
@@ -215,8 +215,8 @@ def test_message_hashed_to_base_once_per_backend(monkeypatch):
         calls.append(message)
         return original(message)
 
-    original = scheme_module.bn254.hash_to_g1
-    monkeypatch.setattr(scheme_module.bn254, "hash_to_g1", counting_hash_to_g1)
+    original = bn254.hash_to_g1
+    monkeypatch.setattr(bn254, "hash_to_g1", counting_hash_to_g1)
     scheme = scheme_module.ThresholdScheme(scheme_module._Bn254Backend())
     config = ThresholdConfig(n=3, f=1, m=2)
     shares, pk = scheme.keygen_dealer(config, 5)
@@ -225,3 +225,32 @@ def test_message_hashed_to_base_once_per_backend(monkeypatch):
         assert scheme.verify_share(scheme.public_share(s), b"once", sig_share)
     assert scheme.verify(pk, b"once", scheme.combine(sig_shares[:2], config))
     assert calls == [b"once"]
+
+
+def test_order_is_the_bn254_group_order():
+    from xchain.threshold import bn254, scheme as scheme_module
+    assert scheme_module.ORDER == bn254.N
+
+
+def test_modp_run_never_imports_bn254():
+    """A modp scenario run from the CLI never loads the curve module."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import xchain
+
+    root = Path(__file__).parent.parent
+    src = str(Path(xchain.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "xchain.cli", "run",
+         "scenarios/conditional_buy.scn"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "xchain.scenario" in imported
+    assert "xchain.threshold.bn254" not in imported
