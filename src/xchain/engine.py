@@ -289,9 +289,6 @@ class _CoordinationNode:
             body = {"ok": False, "op": op, "error": str(exc)}
         self.world.reply(self.node_id, msg, "submit_reply", body)
 
-    def on_timer(self, tag) -> None:  # pragma: no cover - no timers here
-        pass
-
 
 class _FlowRec:
     __slots__ = ("fid", "gen", "awaiting", "generation", "collected")

@@ -72,16 +72,12 @@ def parse_sidechain_id(raw) -> SidechainId:
     raise ScenarioError(f"cannot parse sidechain id from {raw!r}")
 
 
-def parse_policy(raw: str) -> LockedViewPolicy:
-    table = {
-        "fail": LockedViewPolicy.FAIL_IF_LOCKED,
-        "fail-if-locked": LockedViewPolicy.FAIL_IF_LOCKED,
-        "assume-ignored": LockedViewPolicy.ASSUME_IGNORED,
-        "assume-committed": LockedViewPolicy.ASSUME_COMMITTED,
-    }
+def parse_policy(raw) -> LockedViewPolicy:
+    """The policy spelled raw: fail, assume-ignored or assume-committed,
+    the choices of the CLI's --locked-view-policy."""
     try:
-        return table[raw.strip().lower()]
-    except KeyError:
+        return LockedViewPolicy(raw)
+    except ValueError:
         raise ScenarioError(f"unknown locked-view policy {raw!r}") from None
 
 
@@ -415,7 +411,9 @@ class _Runner:
         if kind == "crosschain_tx":
             self.world.net.call_soon(lambda: self._run_crosschain_tx(spec), delay=at)
         elif kind == "crosschain_view":
-            self.world.net.call_soon(lambda: self._run_crosschain_view(spec), delay=at)
+            policy = parse_policy(spec["policy"]) if "policy" in spec else None
+            self.world.net.call_soon(
+                lambda: self._run_crosschain_view(spec, policy), delay=at)
         elif kind == "local_tx":
             self.world.net.call_soon(lambda: self._run_local_tx(spec), delay=at)
         elif kind == "rekey":
@@ -480,14 +478,13 @@ class _Runner:
                     delay=pause)
         self.world.net.call_soon(check, delay=delay)
 
-    def _run_crosschain_view(self, spec: dict) -> None:
+    def _run_crosschain_view(self, spec: dict,
+                             policy: Optional[LockedViewPolicy]) -> None:
         alias = spec.get("alias", f"view{len(self.view_results)}")
         ref = self._coordination_ref(spec.get("coordination"))
         try:
             tree = self.world.build_crosschain_view(
                 spec["node"], self._call_spec(spec["call"]), coordination_ref=ref)
-            policy = (parse_policy(spec["policy"]) if spec.get("policy")
-                      else None)
             result = self.world.submit_crosschain_view(spec["node"], tree,
                                                        policy=policy)
             self.view_results[alias] = result

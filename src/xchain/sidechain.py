@@ -83,9 +83,6 @@ class LockHolder:
             return NotImplemented
         return self._key() == other._key()
 
-    def __hash__(self):
-        return hash(self._key())
-
     @classmethod
     def of_tx(cls, tx: CrosschainTransaction) -> "LockHolder":
         return cls(
@@ -211,10 +208,6 @@ class HandlerHost:
     @property
     def self_address(self) -> bytes:
         return self._contract.address
-
-    @property
-    def sidechain_id(self) -> SidechainId:
-        return self._state.sidechain_id
 
     # -- storage -------------------------------------------------------------
 

@@ -1,6 +1,4 @@
 from .types import (
-    Dealing,
-    DealingInvalid,
     DuplicateShareIndex,
     InsufficientShares,
     InvalidConfig,
@@ -13,8 +11,6 @@ from .types import (
 from .scheme import ORDER, ThresholdScheme, get_scheme, lagrange_at_zero
 
 __all__ = [
-    "Dealing",
-    "DealingInvalid",
     "DuplicateShareIndex",
     "InsufficientShares",
     "InvalidConfig",

@@ -4,13 +4,13 @@ Two backends ship:
 
   * ``bn254``: BLS-style signatures. Secrets are Shamir shares over the
     curve order, partial signatures are H(m) scaled by the share in G1,
-    public keys and Feldman commitments live in G2, and verification is
-    the pairing relation e(H(m), pk) == e(sig, G2).
+    public keys live in G2, and verification is the pairing relation
+    e(H(m), pk) == e(sig, G2).
 
   * ``modp``: a fast non-hiding test double. The "group" is the scalar
-    field itself (commitments reveal the coefficients), but every
-    behavioural contract -- thresholds, Lagrange combination, Feldman
-    dealing checks, verification failure on bad shares -- is identical.
+    field itself (public keys reveal the secrets), but every behavioural
+    contract -- thresholds, Lagrange combination, verification failure
+    on bad shares -- is identical.
 
 All operations are pure functions of their inputs and seeds.
 """
@@ -20,15 +20,12 @@ from typing import Dict, List, Sequence
 
 from ..hashing import keccak256
 from .types import (
-    Dealing,
-    DealingInvalid,
     DuplicateShareIndex,
     InsufficientShares,
     InvalidConfig,
     KeyShare,
     SignatureShare,
     ThresholdConfig,
-    ThresholdError,
     ThresholdSignature,
 )
 
@@ -88,15 +85,6 @@ class _ModPBackend(_Backend):
     def commit(self, scalar):
         return scalar % ORDER
 
-    def commit_add(self, a, b):
-        return (a + b) % ORDER
-
-    def commit_scale(self, a, k):
-        return a * k % ORDER
-
-    def commit_zero(self):
-        return 0
-
     def _hash_to_base(self, message: bytes):
         h = int.from_bytes(keccak256(b"modp-base" + message), "big") % ORDER
         return h if h != 0 else 1
@@ -126,17 +114,6 @@ class _Bn254Backend(_Backend):
     def commit(self, scalar):
         from . import bn254
         return bn254.g2_mul(bn254.G2, scalar)
-
-    def commit_add(self, a, b):
-        from . import bn254
-        return bn254.g2_add(a, b)
-
-    def commit_scale(self, a, k):
-        from . import bn254
-        return bn254.g2_mul(a, k)
-
-    def commit_zero(self):
-        return None
 
     def _hash_to_base(self, message: bytes):
         from . import bn254
@@ -169,8 +146,8 @@ class _Bn254Backend(_Backend):
 
 
 class ThresholdScheme:
-    """Dealer keygen, verifiable aggregated keygen, signing, combining
-    and verification over one group backend."""
+    """Dealer keygen, signing, combining and verification over one
+    group backend."""
 
     def __init__(self, backend):
         self.backend = backend
@@ -190,78 +167,9 @@ class ThresholdScheme:
                   for i in range(1, config.n + 1)]
         return shares, pk
 
-    def make_dealing(self, config: ThresholdConfig, dealer_index: int,
-                     rng_seed: int) -> Dealing:
-        """One participant acting as dealer for aggregated keygen."""
-        coeffs = _scalar_stream(b"dkg", rng_seed ^ dealer_index, config.m)
-        contributions = {j: _poly_eval(coeffs, j) for j in range(1, config.n + 1)}
-        commitments = tuple(self.backend.commit(c) for c in coeffs)
-        return Dealing(dealer=dealer_index, contributions=contributions,
-                       commitments=commitments)
-
-    def verify_dealing(self, dealing: Dealing, config: ThresholdConfig) -> bool:
-        """Feldman check: commit(f(j)) must equal sum_k j^k * C_k for
-        every participant contribution."""
-        if len(dealing.commitments) != config.m:
-            return False
-        if set(dealing.contributions) != set(range(1, config.n + 1)):
-            return False
-        for j, contribution in dealing.contributions.items():
-            expected = self._commitment_eval(dealing.commitments, j)
-            if self.backend.commit(contribution) != expected:
-                return False
-        return True
-
-    def dkg_round(self, dealings: Sequence[Dealing], config: ThresholdConfig):
-        """Aggregate verified dealings into a key set.
-
-        The result is functionally a dealer keygen whose secret is the
-        sum of the dealers' secrets. Raises DealingInvalid naming every
-        dealer whose contribution fails the commitment check.
-        """
-        if not dealings:
-            raise ThresholdError("need at least one dealing")
-        seen = set()
-        for d in dealings:
-            if d.dealer in seen:
-                raise ThresholdError(f"duplicate dealing from dealer {d.dealer}")
-            seen.add(d.dealer)
-        faulty = [d.dealer for d in dealings if not self.verify_dealing(d, config)]
-        if faulty:
-            raise DealingInvalid(faulty)
-        pk = self.backend.commit_zero()
-        for d in dealings:
-            pk = self.backend.commit_add(pk, d.commitments[0])
-        shares = []
-        for j in range(1, config.n + 1):
-            scalar = sum(d.contributions[j] for d in dealings) % ORDER
-            shares.append(KeyShare(index=j, scalar=scalar, group_public_key=pk))
-        return shares, pk
-
-    def share_publics(self, source, config: ThresholdConfig):
-        """Per-index public shares derived from dealing commitments.
-
-        ``source`` is either a single Dealing or a sequence of them
-        (aggregated). Used to verify individual signature shares.
-        """
-        dealings = [source] if isinstance(source, Dealing) else list(source)
-        agg = []
-        for k in range(config.m):
-            acc = self.backend.commit_zero()
-            for d in dealings:
-                acc = self.backend.commit_add(acc, d.commitments[k])
-            agg.append(acc)
-        return {j: self._commitment_eval(agg, j) for j in range(1, config.n + 1)}
-
     def public_share(self, share: KeyShare):
         """Public counterpart of one private share."""
         return self.backend.commit(share.scalar)
-
-    def _commitment_eval(self, commitments, x: int):
-        acc = self.backend.commit_zero()
-        for c in reversed(commitments):
-            acc = self.backend.commit_add(self.backend.commit_scale(acc, x), c)
-        return acc
 
     # -- signing -----------------------------------------------------------
 

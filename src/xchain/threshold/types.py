@@ -1,7 +1,7 @@
 """Shared threshold-signing types and errors."""
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any
 
 
 class ThresholdError(ValueError):
@@ -18,14 +18,6 @@ class InsufficientShares(ThresholdError):
 
 class DuplicateShareIndex(ThresholdError):
     pass
-
-
-class DealingInvalid(ThresholdError):
-    """One or more dealings failed commitment verification."""
-
-    def __init__(self, faulty_dealers):
-        self.faulty_dealers = tuple(sorted(faulty_dealers))
-        super().__init__(f"invalid dealings from dealers {list(self.faulty_dealers)}")
 
 
 class ThresholdConfig:
@@ -86,16 +78,3 @@ class ThresholdSignature:
 
     point: Any
 
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Dealing:
-    """One dealer's contribution to an aggregated key generation.
-
-    Contributions are plaintext polynomial evaluations per participant
-    index (share transport encryption is out of scope for the
-    simulator); commitments are one group element per coefficient.
-    """
-
-    dealer: int
-    contributions: Dict[int, int]
-    commitments: Tuple[Any, ...]

@@ -815,8 +815,9 @@ def test_replay_rejected_and_fresh_resubmission_succeeds():
 
 # --- key rotation ----------------------------------------------------------------------------
 
-def test_rekey_then_transact():
-    world, mn, ref, contracts = conditional_buy_world()
+@pytest.mark.parametrize("scheme", ["modp", "bn254"])
+def test_rekey_then_transact(scheme):
+    world, mn, ref, contracts = conditional_buy_world(config=WorldConfig(scheme=scheme))
     old_key = world.coordination[ref].get_pubkey(SC2)
     world.rekey_sidechain(SC2, seed=4242)
     assert world.coordination[ref].get_pubkey(SC2) != old_key

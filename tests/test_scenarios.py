@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from xchain.cli import main
 from xchain.coordination import CoordinationChain, CoordinationError, EffectiveStatus
 from xchain.scenario import Scenario, ScenarioError
+from xchain.sidechain import LockedViewPolicy
 from xchain.simnet import FaultSpec, SimNet
 from xchain.wire import CrosschainTxId, SidechainId
 
@@ -307,12 +308,19 @@ def _set(path, value):
     _set(["actions", 0, "at"], "soon"),
     lambda doc: doc["assertions"].append(
         {"kind": "trace_contains_reason", "reason": "x", "count_at_least": "many"}),
+    lambda doc: doc["actions"].append(
+        {"at": 0, "kind": "crosschain_view", "node": "nodeA", "coordination": 1,
+         "call": {"contract": "oracle", "function": "rate"},
+         "policy": "assume-comitted"}),
+    _set(["config"], {"locked_view_policy": 3}),
 ], ids=["broken-yaml", "seed", "max_ticks", "validators", "sidechain-id",
-        "balance", "storage-key", "action-at", "assertion-count"])
+        "balance", "storage-key", "action-at", "assertion-count", "view-policy",
+        "config-policy"])
 def test_cli_run_parse_error_exit_code(edit, tmp_path):
-    """Malformed YAML, and a non-integer where the format wants an
-    integer, are parse errors (exit 2) that name the bad value, not
-    tracebacks."""
+    """Malformed YAML, a non-integer where the format wants an integer,
+    and a locked-view policy that is not one of its three spellings are
+    parse errors (exit 2) that name the bad value, not tracebacks or a
+    run."""
     broken = tmp_path / "broken.scn"
     if edit is None:
         broken.write_text("]: not yaml [")
@@ -323,6 +331,33 @@ def test_cli_run_parse_error_exit_code(edit, tmp_path):
     result = CliRunner().invoke(main, ["run", str(broken)])
     assert result.exit_code == 2, result.output
     assert "parse error" in result.output
+
+
+@pytest.mark.parametrize("spelling, policy", [
+    ("fail", LockedViewPolicy.FAIL_IF_LOCKED),
+    ("assume-ignored", LockedViewPolicy.ASSUME_IGNORED),
+    ("assume-committed", LockedViewPolicy.ASSUME_COMMITTED),
+])
+def test_locked_view_policy_spellings(spelling, policy, monkeypatch):
+    """The config key and the CLI flag take the same three spellings,
+    and each sets the world's policy."""
+    path = SCENARIO_DIR / "conditional_buy.scn"
+    doc = yaml.safe_load(path.read_text())
+    doc["config"] = {"locked_view_policy": spelling}
+    assert Scenario.from_dict(doc).run().world.config.locked_view_policy is policy
+
+    seen = []
+    original = Scenario.run
+
+    def spy(self, **kwargs):
+        result = original(self, **kwargs)
+        seen.append(result.world.config.locked_view_policy)
+        return result
+
+    monkeypatch.setattr(Scenario, "run", spy)
+    result = CliRunner().invoke(main, ["run", str(path), "--locked-view-policy", spelling])
+    assert result.exit_code == 0, result.output
+    assert seen == [policy]
 
 
 def test_cli_seed_env_fallback(tmp_path, monkeypatch):

@@ -282,6 +282,26 @@ def test_value_transfers_conserve_total(state):
     assert state.balances[exec_addr] == 700
 
 
+def test_swap_owner_withdraws_whole_balance(state):
+    """The offer owner collects everything paid into the swap contract;
+    anyone else is refused and nothing moves."""
+    owner = AccountKey.from_label("owner")
+    stranger = AccountKey.from_label("stranger")
+    exec_addr = state.deploy("swap_execution", lockable=True, balance=700,
+                             storage={1: int.from_bytes(owner.address, "big")})
+    total_before = state.total_value()
+    with pytest.raises(ExecutionError, match="only the offer owner withdraws"):
+        state.apply_local_tx(exec_addr, encode_call("withdraw"), stranger.address,
+                             nonce=0)
+    assert state.balances[exec_addr] == 700
+    assert stranger.address not in state.balances
+    assert state.expected_nonce(stranger.address) == 0
+    state.apply_local_tx(exec_addr, encode_call("withdraw"), owner.address, nonce=0)
+    assert state.balances[exec_addr] == 0
+    assert state.balances[owner.address] == 700
+    assert state.total_value() == total_before
+
+
 # --- overlay isolation property ---------------------------------------------------------
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2**32)), max_size=8),

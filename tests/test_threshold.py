@@ -4,7 +4,6 @@ import itertools
 import pytest
 
 from xchain.threshold import (
-    DealingInvalid,
     DuplicateShareIndex,
     InsufficientShares,
     InvalidConfig,
@@ -133,77 +132,6 @@ def test_verify_share_against_public_share(scheme):
     assert scheme.verify_share(publics[1], b"partial", good)
     corrupt = dataclasses.replace(good, point=scheme.sign_share(shares[1], b"partial").point)
     assert not scheme.verify_share(publics[1], b"partial", corrupt)
-
-
-# --- aggregated (dealerless) key generation ------------------------------------
-
-def test_dealing_verification(scheme):
-    config = ThresholdConfig(n=3, f=1, m=2)
-    dealing = scheme.make_dealing(config, dealer_index=1, rng_seed=50)
-    assert scheme.verify_dealing(dealing, config)
-    tampered = dataclasses.replace(
-        dealing, contributions={**dealing.contributions, 2: 424242})
-    assert not scheme.verify_dealing(tampered, config)
-    truncated = dataclasses.replace(dealing, commitments=dealing.commitments[:1])
-    assert not scheme.verify_dealing(truncated, config)
-
-
-def test_dkg_single_dealing_equals_dealer(scheme):
-    config = ThresholdConfig(n=3, f=1, m=2)
-    dealing = scheme.make_dealing(config, dealer_index=1, rng_seed=60)
-    shares, pk = scheme.dkg_round([dealing], config)
-    message = b"aggregation of one"
-    sig = scheme.combine([scheme.sign_share(s, message) for s in shares[:2]], config)
-    assert scheme.verify(pk, message, sig)
-    # the aggregate of one dealing is that dealer's key set
-    assert pk == dealing.commitments[0]
-
-
-def test_dkg_multi_dealer_any_subset_signs(scheme):
-    config = ThresholdConfig(n=3, f=1, m=2)
-    dealings = [scheme.make_dealing(config, d, rng_seed=70) for d in (1, 2, 3)]
-    shares, pk = scheme.dkg_round(dealings, config)
-    message = b"dkg"
-    partials = [scheme.sign_share(s, message) for s in shares]
-    for subset in itertools.combinations(partials, 2):
-        assert scheme.verify(pk, message, scheme.combine(list(subset), config))
-
-
-def test_dkg_equivalent_to_summed_secret(scheme):
-    """The aggregate behaves exactly like a dealer keygen whose secret
-    is the sum of the dealers' secrets: share j equals the sum of the
-    dealers' contributions to j, so signatures interpolate to the
-    summed secret's signature."""
-    from xchain.threshold import ORDER, lagrange_at_zero
-    config = ThresholdConfig(n=3, f=1, m=2)
-    dealings = [scheme.make_dealing(config, d, rng_seed=90) for d in (1, 2)]
-    shares, pk = scheme.dkg_round(dealings, config)
-    for share in shares:
-        expected = sum(d.contributions[share.index] for d in dealings) % ORDER
-        assert share.scalar == expected
-    # reconstruct the group secret from m shares and check the public key
-    lams = lagrange_at_zero([1, 2])
-    secret = sum(lams[s.index] * s.scalar for s in shares[:2]) % ORDER
-    assert scheme.backend.commit(secret) == pk
-
-
-def test_dkg_identifies_corrupt_dealer(scheme):
-    config = ThresholdConfig(n=3, f=1, m=2)
-    dealings = [scheme.make_dealing(config, d, rng_seed=80) for d in (1, 2, 3)]
-    corrupt = dataclasses.replace(
-        dealings[1], contributions={**dealings[1].contributions, 3: 1})
-    with pytest.raises(DealingInvalid) as excinfo:
-        scheme.dkg_round([dealings[0], corrupt, dealings[2]], config)
-    assert excinfo.value.faulty_dealers == (2,)
-
-
-def test_dkg_rejects_empty_and_duplicates(scheme):
-    config = ThresholdConfig(n=2, f=0, m=1)
-    with pytest.raises(Exception):
-        scheme.dkg_round([], config)
-    dealing = scheme.make_dealing(config, 1, rng_seed=4)
-    with pytest.raises(Exception):
-        scheme.dkg_round([dealing, dealing], config)
 
 
 def test_message_hashed_to_base_once_per_backend(monkeypatch):
